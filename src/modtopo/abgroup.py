@@ -24,7 +24,9 @@ twisted K-theory path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import chain
+from math import gcd, prod
+from operator import mul
 
 from .errors import DimensionMismatch, NotAComplex, NotASublattice
 
@@ -70,9 +72,11 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        ents = self.entries if type(self.entries) is tuple else tuple(self.entries)
+        if not {type(self.rows), type(self.cols), *map(type, ents)} <= {int}:
+            raise TypeError("matrix shape and entries must be int (not bool, float or str)")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        ents = tuple(int(e) for e in self.entries)
         if len(ents) != self.rows * self.cols:
             raise ValueError(
                 f"entry count {len(ents)} != rows*cols = {self.rows * self.cols}"
@@ -87,7 +91,7 @@ class IntMatrix:
         c = len(rows[0])
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls(r, c, tuple(v for row in rows for v in row))
+        return cls(r, c, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -107,11 +111,8 @@ class IntMatrix:
         return self.entries[j :: self.cols] if self.cols else ()
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        columns = chain.from_iterable(map(self.column, range(self.cols)))
+        return IntMatrix(self.cols, self.rows, tuple(columns))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.entries)
@@ -121,17 +122,14 @@ class IntMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
+        cols = [other.column(j) for j in range(other.cols)]
+        out = [sum(map(mul, self.row(i), cj)) for i in range(self.rows) for cj in cols]
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def apply(self, vec: list[int] | tuple[int, ...]) -> list[int]:
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} != cols {self.cols}")
-        return [sum(self.row(i)[k] * vec[k] for k in range(self.cols)) for i in range(self.rows)]
+        return [sum(map(mul, self.row(i), vec)) for i in range(self.rows)]
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -216,122 +214,140 @@ class SnfResult:
 
     def cokernel(self) -> "FgAbGroup":
         """Z^rows / (column span of M), in canonical form."""
-        free = self.left.rows - self.rank
-        return FgAbGroup.from_divisors(*([0] * free), *(d for d in self.diagonal if d))
+        return _cokernel(self.left.rows, self.diagonal)
 
 
-class _SnfWorker:
-    """Row/column reduction tracking all four transforms.
+def _cokernel(rows: int, diag: tuple[int, ...]) -> "FgAbGroup":
+    """Z^rows modulo a Smith diagonal, whose factors already form a chain."""
+    rank = sum(1 for d in diag if d)
+    return FgAbGroup(rows - rank, tuple(d for d in diag if d > 1))
 
-    Invariant maintained by every elementary operation:
-        left @ D @ right == M   and   left_inv @ M @ right_inv == D.
+
+def _sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
+    """Rows of ``m`` as {column: value} dicts of the nonzero entries."""
+    c, ents = m.cols, m.entries
+    return [{j: v for j, v in enumerate(ents[i * c : (i + 1) * c]) if v} for i in range(m.rows)]
+
+
+def _eye(n: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+
+
+def _eliminate(rows: list[dict[int, int]], ncols: int, transforms: bool = False):
+    """Sparse Smith elimination: the one core behind every SNF caller.
+
+    ``rows`` (consumed) holds the nonzero entries.  Each pivot is an entry
+    of least absolute value, units first, with ties going to the least
+    Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), which bounds
+    fill-in.  Row operations clear the pivot column; column operations then
+    clear the pivot row and touch no other working entry.  A remainder
+    smaller than the pivot becomes the next pivot (Euclid); so does one from
+    a row added to the pivot row when the pivot fails to divide it.  The
+    matrix ends as a scattered diagonal whose pivots, in order, already form
+    a divisibility chain.
+
+    Returns the min(rows, cols) diagonal (units, chain, zeros) and, only when
+    ``transforms`` is set, (left_inv, left^T, right, right_inv^T) as dense
+    row lists, so that every update is one row operation.
     """
+    nrows = len(rows)
+    cols: list[set[int]] = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    tr = (_eye(nrows), _eye(nrows), _eye(ncols), _eye(ncols)) if transforms else None
+    li, lt, rr, rv = tr or ((),) * 4
 
-    def __init__(self, m: IntMatrix):
-        self.r, self.c = m.rows, m.cols
-        self.d = [list(m.row(i)) for i in range(m.rows)]
-        self.left = [[int(i == j) for j in range(self.r)] for i in range(self.r)]
-        self.left_inv = [[int(i == j) for j in range(self.r)] for i in range(self.r)]
-        self.right = [[int(i == j) for j in range(self.c)] for i in range(self.c)]
-        self.right_inv = [[int(i == j) for j in range(self.c)] for i in range(self.c)]
-
-    # row i += q * row k on D;  left undoes it on columns, left_inv repeats it
-    def row_add(self, i: int, k: int, q: int) -> None:
-        if q == 0:
+    def row_sub(k: int, i: int, q: int) -> None:  # row k -= q * row i
+        if q == 0:  # sparse rows never store a zero
             return
-        d, li, lv = self.d, self.left, self.left_inv
-        for j in range(self.c):
-            d[i][j] += q * d[k][j]
-        for a in range(self.r):
-            li[a][k] -= q * li[a][i]
-        for j in range(self.r):
-            lv[i][j] += q * lv[k][j]
+        rk = rows[k]
+        dirty.add(k)
+        for l, v in rows[i].items():
+            w = rk.get(l)
+            if w is None:
+                rk[l] = -q * v
+                cols[l].add(k)
+            elif w != q * v:
+                rk[l] = w - q * v
+            else:
+                del rk[l]
+                cols[l].discard(k)
+        if tr:
+            li[k] = [a - q * b for a, b in zip(li[k], li[i])]
+            lt[i] = [a + q * b for a, b in zip(lt[i], lt[k])]
 
-    def row_swap(self, i: int, k: int) -> None:
-        if i == k:
-            return
-        self.d[i], self.d[k] = self.d[k], self.d[i]
-        self.left_inv[i], self.left_inv[k] = self.left_inv[k], self.left_inv[i]
-        for a in range(self.r):
-            row = self.left[a]
-            row[i], row[k] = row[k], row[i]
+    def best_in(i: int) -> tuple[int, int, int]:  # (|v|, Markowitz cost, column)
+        n = len(rows[i]) - 1
+        return min((v if v > 0 else -v, n * (len(cols[j]) - 1), j) for j, v in rows[i].items())
 
-    def row_negate(self, i: int) -> None:
-        self.d[i] = [-v for v in self.d[i]]
-        self.left_inv[i] = [-v for v in self.left_inv[i]]
-        for a in range(self.r):
-            self.left[a][i] = -self.left[a][i]
-
-    # col j += q * col k on D;  right undoes it on rows, right_inv repeats it
-    def col_add(self, j: int, k: int, q: int) -> None:
-        if q == 0:
-            return
-        d, ri, rv = self.d, self.right, self.right_inv
-        for i in range(self.r):
-            d[i][j] += q * d[i][k]
-        for b in range(self.c):
-            ri[k][b] -= q * ri[j][b]
-        for i in range(self.c):
-            rv[i][j] += q * rv[i][k]
-
-    def col_swap(self, j: int, k: int) -> None:
-        if j == k:
-            return
-        for i in range(self.r):
-            row = self.d[i]
-            row[j], row[k] = row[k], row[j]
-        self.right[j], self.right[k] = self.right[k], self.right[j]
-        for i in range(self.c):
-            row = self.right_inv[i]
-            row[j], row[k] = row[k], row[j]
-
-    def reduce(self) -> None:
-        d, r, c = self.d, self.r, self.c
-        for t in range(min(r, c)):
-            # smallest-nonzero-absolute-value pivot in the trailing block
-            best = None
-            for i in range(t, r):
-                for j in range(t, c):
-                    v = d[i][j]
-                    if v != 0 and (best is None or abs(v) < abs(d[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                return
-            self.row_swap(t, best[0])
-            self.col_swap(t, best[1])
-            while True:
-                if d[t][t] < 0:
-                    self.row_negate(t)
-                pivot = d[t][t]
-                dirty = None
-                for i in range(t + 1, r):
-                    if d[i][t]:
-                        self.row_add(i, t, -(d[i][t] // pivot))
-                        if d[i][t]:
-                            dirty = i
-                if dirty is not None:
-                    self.row_swap(t, dirty)
-                    continue
-                for j in range(t + 1, c):
-                    if d[t][j]:
-                        self.col_add(j, t, -(d[t][j] // pivot))
-                        if d[t][j]:
-                            dirty = j
-                if dirty is not None:
-                    self.col_swap(t, dirty)
-                    continue
-                # gcd sweep: pivot must divide the whole trailing block
-                stray = None
-                for i in range(t + 1, r):
-                    for j in range(t + 1, c):
-                        if d[i][j] % pivot:
-                            stray = i
-                            break
-                    if stray is not None:
-                        break
+    # keys of rows untouched by a step may be stale; the chosen row is re-keyed
+    keys = {i: best_in(i) for i in range(nrows) if rows[i]}
+    pivots = []
+    while keys:
+        i = min(keys, key=keys.__getitem__)
+        key = best_in(i)
+        if key != keys[i]:
+            keys[i] = key
+            continue
+        j = key[2]
+        dirty: set[int] = set()
+        while True:
+            p = rows[i][j]
+            stray = None
+            for k in [k for k in cols[j] if k != i]:
+                v = rows[k][j]
+                row_sub(k, i, (2 * v + p) // (2 * p))
+                if j in rows[k] and (stray is None or abs(rows[k][j]) < abs(rows[stray][j])):
+                    stray = k
+            if stray is not None:
+                i = stray
+                continue
+            row = rows[i]
+            for l in [l for l in row if l != j]:
+                v = row[l]
+                q = (2 * v + p) // (2 * p)
+                if tr:  # col l -= q * col j
+                    rv[l] = [a - q * b for a, b in zip(rv[l], rv[j])]
+                    rr[j] = [a + q * b for a, b in zip(rr[j], rr[l])]
+                if v != q * p:
+                    row[l] = v - q * p
+                    if stray is None or abs(row[l]) < abs(row[stray]):
+                        stray = l
+                else:
+                    del row[l]
+                    cols[l].discard(i)
+            if stray is None and p not in (1, -1):
+                # p must divide every remaining entry, or the chain breaks
+                stray = next((k for k, r in enumerate(rows) if any(v % p for v in r.values())), None)
                 if stray is None:
                     break
-                self.row_add(t, stray, 1)
+                row_sub(i, stray, -1)
+                continue
+            if stray is None:
+                break
+            j = stray
+        pivots.append((i, j, p))
+        rows[i] = {}
+        cols[j] = set()
+        dirty.add(i)
+        for k in dirty:
+            if rows[k]:
+                keys[k] = best_in(k)
+            else:
+                keys.pop(k, None)
+
+    diag = tuple(abs(p) for _, _, p in pivots)
+    if tr:
+        for i, _, p in pivots:
+            if p < 0:
+                li[i] = [-a for a in li[i]]
+                lt[i] = [-a for a in lt[i]]
+        rperm = dict.fromkeys([*(i for i, _, _ in pivots), *range(nrows)])
+        cperm = dict.fromkeys([*(j for _, j, _ in pivots), *range(ncols)])
+        li[:], lt[:] = [li[i] for i in rperm], [lt[i] for i in rperm]
+        rr[:], rv[:] = [rr[j] for j in cperm], [rv[j] for j in cperm]
+    return diag + (0,) * (min(nrows, ncols) - len(diag)), tr
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
@@ -339,44 +355,35 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
     Returns diagonal entries satisfying the divisibility chain d1 | d2 | ...
     (then zeros) together with unimodular transforms reconstructing the
-    input as left @ diag @ right.  Pivots are chosen by smallest nonzero
-    absolute value with gcd row/column reduction, which keeps intermediate
-    growth modest at the matrix sizes this library targets; exactness, not
-    speed, is the contract.
+    input as left @ diag @ right.  See :func:`_eliminate` for the pivot
+    strategy; exactness is the contract.
     """
-    w = _SnfWorker(m)
-    w.reduce()
-    diag = tuple(w.d[i][i] for i in range(min(w.r, w.c)))
+    diag, (li, lt, rr, rv) = _eliminate(_sparse_rows(m), m.cols, transforms=True)
     return SnfResult(
         diagonal=diag,
-        left=IntMatrix.from_rows(w.left, cols=w.r),
-        right=IntMatrix.from_rows(w.right, cols=w.c),
-        left_inv=IntMatrix.from_rows(w.left_inv, cols=w.r),
-        right_inv=IntMatrix.from_rows(w.right_inv, cols=w.c),
+        left=IntMatrix.from_rows(list(zip(*lt)), cols=m.rows),
+        right=IntMatrix.from_rows(rr, cols=m.cols),
+        left_inv=IntMatrix.from_rows(li, cols=m.rows),
+        right_inv=IntMatrix.from_rows(list(zip(*rv)), cols=m.cols),
     )
 
 
 def matrix_rank(m: IntMatrix) -> int:
-    return smith_normal_form(m).rank
+    return sum(1 for d in _eliminate(_sparse_rows(m), m.cols)[0] if d)
 
 
 def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the integer solution lattice of M x = 0, as columns."""
-    s = smith_normal_form(m)
-    free_cols = [
-        j
-        for j in range(m.cols)
-        if j >= len(s.diagonal) or s.diagonal[j] == 0
-    ]
-    rows = [[s.right_inv.at(i, j) for j in free_cols] for i in range(m.cols)]
-    return IntMatrix.from_rows(rows, cols=len(free_cols))
+    s = smith_normal_form(m)  # the nonzero factors come first: columns past rank are free
+    rows = [row[s.rank :] for row in map(s.right_inv.row, range(m.cols))]
+    return IntMatrix.from_rows(rows, cols=m.cols - s.rank)
 
 
 def image_lattice_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the lattice spanned by the columns of M, as columns."""
     s = smith_normal_form(m)
     cols = [j for j, d in enumerate(s.diagonal) if d != 0]
-    rows = [[s.diagonal[j] * s.left.at(i, j) for j in cols] for i in range(m.rows)]
+    rows = [[s.diagonal[j] * row[j] for j in cols] for row in map(s.left.row, range(m.rows))]
     return IntMatrix.from_rows(rows, cols=len(cols))
 
 
@@ -424,9 +431,8 @@ def lattice_quotient(span_gens: IntMatrix, sub_gens: IntMatrix) -> "FgAbGroup":
         if x is None:
             raise NotASublattice("generator not contained in the ambient lattice")
         coeff_cols.append(x)
-    rows = [[coeff_cols[j][i] for j in range(len(coeff_cols))] for i in range(t)]
-    coeffs = IntMatrix.from_rows(rows, cols=len(coeff_cols))
-    return smith_normal_form(coeffs).cokernel()
+    rows = [{j: x[i] for j, x in enumerate(coeff_cols) if x[i]} for i in range(t)]
+    return _cokernel(t, _eliminate(rows, len(coeff_cols))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +453,12 @@ class FgAbGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
+        facs = self.invariant_factors
+        facs = facs if type(facs) is tuple else tuple(facs)
+        if type(self.rank) is not int or not {*map(type, facs)} <= {int}:
+            raise TypeError("rank and invariant factors must be int (not bool or float)")
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
-        facs = tuple(int(d) for d in self.invariant_factors)
         object.__setattr__(self, "invariant_factors", facs)
         prev = None
         for d in facs:
@@ -480,14 +489,14 @@ class FgAbGroup:
         and the remaining torsion is merged into a divisibility chain by
         repeated (gcd, lcm) exchanges (the Chinese-remainder shuffle).
         """
-        rank = 0
-        tors: list[int] = []
-        for d in divisors:
-            d = abs(int(d))
-            if d == 0:
-                rank += 1
-            elif d > 1:
-                tors.append(d)
+        if not {*map(type, divisors)} <= {int}:
+            raise TypeError("divisors must be int (not bool or float)")
+        return cls._canonical(divisors.count(0), map(abs, divisors))
+
+    @classmethod
+    def _canonical(cls, rank: int, orders) -> "FgAbGroup":
+        """Z^rank plus the cyclic groups of the given positive orders."""
+        tors = [d for d in orders if d > 1]
         changed = True
         while changed:
             changed = False
@@ -508,10 +517,7 @@ class FgAbGroup:
 
     @property
     def torsion_order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
     def primary_decomposition(self) -> tuple[int, ...]:
         """Prime-power cyclic orders (for display); rank is unchanged."""
@@ -534,20 +540,14 @@ class FgAbGroup:
 
     def direct_sum(self, other: "FgAbGroup") -> "FgAbGroup":
         """A (+) B: ranks add, torsion re-canonicalized into a chain."""
-        return FgAbGroup.from_divisors(
-            *([0] * (self.rank + other.rank)),
-            *self.invariant_factors,
-            *other.invariant_factors,
-        )
+        tors = self.invariant_factors + other.invariant_factors
+        return FgAbGroup._canonical(self.rank + other.rank, tors)
 
     def repeated_sum(self, copies: int) -> "FgAbGroup":
         """Direct sum of ``copies`` copies of this group."""
         if copies < 0:
             raise ValueError("copies must be nonnegative")
-        return FgAbGroup.from_divisors(
-            *([0] * (self.rank * copies)),
-            *(d for d in self.invariant_factors for _ in range(copies)),
-        )
+        return FgAbGroup._canonical(self.rank * copies, self.invariant_factors * copies)
 
     def tensor(self, other: "FgAbGroup") -> "FgAbGroup":
         """A (x) B over Z.
@@ -555,11 +555,9 @@ class FgAbGroup:
         Bilinear over direct sums with Z (x) G = G and
         Z/a (x) Z/b = Z/gcd(a, b).
         """
-        divs: list[int] = [0] * (self.rank * other.rank)
-        divs += [b for b in other.invariant_factors] * self.rank
-        divs += [a for a in self.invariant_factors] * other.rank
-        divs += [gcd(a, b) for a in self.invariant_factors for b in other.invariant_factors]
-        return FgAbGroup.from_divisors(*divs)
+        a, b = self.invariant_factors, other.invariant_factors
+        tors = [*b * self.rank, *a * other.rank, *(gcd(x, y) for x in a for y in b)]
+        return FgAbGroup._canonical(self.rank * other.rank, tors)
 
     def tor(self, other: "FgAbGroup") -> "FgAbGroup":
         """Tor_1(A, B): vanishes against free groups, Z/gcd on cyclic pairs."""
@@ -568,10 +566,9 @@ class FgAbGroup:
 
     def hom(self, other: "FgAbGroup") -> "FgAbGroup":
         """Hom(A, B): Hom(Z, G) = G, Hom(Z/a, Z) = 0, Hom(Z/a, Z/b) = Z/gcd."""
-        divs: list[int] = [0] * (self.rank * other.rank)
-        divs += [b for b in other.invariant_factors] * self.rank
-        divs += [gcd(a, b) for a in self.invariant_factors for b in other.invariant_factors]
-        return FgAbGroup.from_divisors(*divs)
+        a, b = self.invariant_factors, other.invariant_factors
+        tors = [*b * self.rank, *(gcd(x, y) for x in a for y in b)]
+        return FgAbGroup._canonical(self.rank * other.rank, tors)
 
     def ext(self, other: "FgAbGroup") -> "FgAbGroup":
         """Ext^1(A, B): Ext(Z, G) = 0, Ext(Z/a, Z) = Z/a, Ext(Z/a, Z/b) = Z/gcd."""
@@ -609,15 +606,22 @@ class FgAbGroup:
 # Homology of chain complexes
 
 
-def _validate_complex(boundaries: list[IntMatrix]) -> None:
+def _validate_complex(boundaries: list[IntMatrix], sparse: list[list[dict[int, int]]]) -> None:
+    """Check d o d = 0 by accumulating each row of the product over nonzeros."""
     for i in range(len(boundaries) - 1):
         if boundaries[i].cols != boundaries[i + 1].rows:
             raise DimensionMismatch(
                 f"boundary {i + 2} has {boundaries[i + 1].rows} rows but boundary "
                 f"{i + 1} has {boundaries[i].cols} columns"
             )
-        if not (boundaries[i] @ boundaries[i + 1]).is_zero():
-            raise NotAComplex(f"boundary {i + 1} o boundary {i + 2} is nonzero")
+        inner = sparse[i + 1]
+        for row in sparse[i]:
+            acc: dict[int, int] = {}
+            for k, a in row.items():
+                for j, b in inner[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if any(acc.values()):
+                raise NotAComplex(f"boundary {i + 1} o boundary {i + 2} is nonzero")
 
 
 def homology_of_complex(boundaries: list[IntMatrix]) -> list[FgAbGroup]:
@@ -631,20 +635,16 @@ def homology_of_complex(boundaries: list[IntMatrix]) -> list[FgAbGroup]:
         H_m = Z^(dim_m - rank d_m - rank d_(m+1))  (+)  torsion(d_(m+1)),
 
     the torsion read off the invariant factors of the incoming boundary.
+    Only ranks and invariant factors are needed, so no transforms are built.
     """
     if not boundaries:
         return []
-    _validate_complex(boundaries)
+    sparse = [_sparse_rows(b) for b in boundaries]
+    _validate_complex(boundaries, sparse)
     dims = [boundaries[0].rows] + [b.cols for b in boundaries]
-    snfs = [smith_normal_form(b) for b in boundaries]
-    out: list[FgAbGroup] = []
-    for m in range(len(dims)):
-        rank_out = snfs[m - 1].rank if m >= 1 else 0
-        rank_in = snfs[m].rank if m < len(boundaries) else 0
-        free = dims[m] - rank_out - rank_in
-        torsion = snfs[m].diagonal if m < len(boundaries) else ()
-        out.append(FgAbGroup.from_divisors(*([0] * free), *(d for d in torsion if d)))
-    return out
+    diags = [_eliminate(rows, b.cols)[0] for rows, b in zip(sparse, boundaries)] + [()]
+    ranks = [0] + [len(dg) - dg.count(0) for dg in diags]
+    return [_cokernel(dim - ranks[m], diags[m]) for m, dim in enumerate(dims)]
 
 
 def cohomology_of_cochain_complex(coboundaries: list[IntMatrix]) -> list[FgAbGroup]:
@@ -654,8 +654,6 @@ def cohomology_of_cochain_complex(coboundaries: list[IntMatrix]) -> list[FgAbGro
     Reading the complex backwards turns it into a chain complex, so this is
     a thin wrapper over :func:`homology_of_complex`.
     """
-    if not coboundaries:
-        return []
     return list(reversed(homology_of_complex(list(reversed(coboundaries)))))
 
 

@@ -28,6 +28,7 @@ solved here).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .abgroup import (
     FgAbGroup,
@@ -153,12 +154,13 @@ def _subquotient(
 ) -> FgAbGroup:
     """ker(d_fwd mod rel_tgt) / (im d_back + rel_src), by lattice algebra."""
     lifted = integer_kernel_basis(d_fwd.hstack(rel_tgt))
-    span_rows = [
-        [lifted.at(i, c) for c in range(lifted.cols)] for i in range(d_fwd.cols)
-    ]
+    span_rows = [list(lifted.row(i)) for i in range(d_fwd.cols)]
     span = IntMatrix.from_rows(span_rows, cols=lifted.cols)
-    sub = d_back.hstack(rel_src)
-    return lattice_quotient(span, sub)
+    # zero columns generate nothing, so only the others are solved for
+    both = d_back.hstack(rel_src)
+    sub_cols = [col for col in map(both.column, range(both.cols)) if any(col)]
+    sub = IntMatrix(len(sub_cols), both.rows, tuple(chain.from_iterable(sub_cols)))
+    return lattice_quotient(span, sub.transpose())
 
 
 def k_groups_via_d3(spec: CircleBundleSpec) -> KPair:
