@@ -94,9 +94,11 @@ from .ktheory import (
 )
 from .selftest import hodge_sum_sweep, k_path_sweep
 from .steenrod import (
+    AxiomReport,
     AxiomViolation,
     ModPRingPresentation,
     RingElement,
+    axiom_report,
     bockstein,
     sq,
     st,

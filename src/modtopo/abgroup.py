@@ -47,15 +47,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _as_int(v) -> int:
-    # JSON carries numbers beyond 2**53 as decimal strings
+def as_int(v) -> int:
+    """An int read from JSON, which carries numbers beyond 2**53 as decimal
+    strings; ValueError on anything else."""
     if isinstance(v, bool):
-        raise ValueError("booleans are not matrix entries")
+        raise ValueError("booleans are not integers")
     if isinstance(v, int):
         return v
     if isinstance(v, str):
         return int(v, 10)
     raise ValueError(f"expected integer, got {v!r}")
+
+
+def require_ints(what: str, *values) -> None:
+    """Raise TypeError unless every value is an int (bool and float are not)."""
+    if not {*map(type, values)} <= {int}:
+        raise TypeError(f"{what} must be int (not bool or float)")
 
 
 def json_int(v: int):
@@ -146,7 +153,7 @@ class IntMatrix:
 
     @classmethod
     def from_json(cls, doc: dict) -> "IntMatrix":
-        return cls(int(doc["rows"]), int(doc["cols"]), tuple(_as_int(v) for v in doc["entries"]))
+        return cls(int(doc["rows"]), int(doc["cols"]), tuple(as_int(v) for v in doc["entries"]))
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -590,7 +597,7 @@ class FgAbGroup:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FgAbGroup":
-        return cls(_as_int(doc["rank"]), tuple(_as_int(d) for d in doc.get("torsion", ())))
+        return cls(as_int(doc["rank"]), tuple(as_int(d) for d in doc.get("torsion", ())))
 
     def __str__(self) -> str:
         parts: list[str] = []

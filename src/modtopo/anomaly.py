@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abgroup import FgAbGroup, IntMatrix
-from .errors import AmbientMismatch, LengthMismatch, ShapeMismatch
+from .abgroup import FgAbGroup, IntMatrix, as_int, require_ints
+from .errors import AmbientMismatch, InvalidInput, LengthMismatch, ShapeMismatch
 from .hilbert import (
     CompactHilbertSpec,
     CuspidalHilbertSpec,
@@ -52,8 +52,8 @@ class CohomologyElement:
     torsion_coords: tuple[int, ...] = ()
 
     def __post_init__(self):
-        free = tuple(int(v) for v in self.free_coords)
-        tors = tuple(int(v) for v in self.torsion_coords)
+        free, tors = tuple(self.free_coords), tuple(self.torsion_coords)
+        require_ints("coordinates", *free, *tors)
         if len(free) != self.ambient.rank:
             raise ShapeMismatch(
                 f"{len(free)} free coordinates for rank {self.ambient.rank}"
@@ -117,8 +117,8 @@ class CohomologyElement:
     def from_json(cls, ambient: FgAbGroup, doc: dict) -> "CohomologyElement":
         return cls(
             ambient,
-            tuple(doc.get("free", ())),
-            tuple(doc.get("torsion", ())),
+            tuple(as_int(v) for v in doc.get("free", ())),
+            tuple(as_int(v) for v in doc.get("torsion", ())),
         )
 
 
@@ -210,7 +210,10 @@ class RationalClass:
 
     @classmethod
     def from_strings(cls, items) -> "RationalClass":
-        return cls(tuple(Fraction(s) for s in items))
+        try:
+            return cls(tuple(Fraction(s) for s in items))
+        except ZeroDivisionError:
+            raise InvalidInput(f"zero denominator in {items!r}") from None
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coords]

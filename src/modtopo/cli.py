@@ -18,6 +18,7 @@ import sys
 from .abgroup import (
     FgAbGroup,
     IntMatrix,
+    as_int,
     homology_of_complex,
     json_int,
     smith_normal_form,
@@ -31,7 +32,7 @@ from .anomaly import (
     hilbert_anomaly_report,
     mms_instability_check,
 )
-from .errors import DomainError
+from .errors import DomainError, InvalidInput
 from .graded import GradedCohomology, betti, euler_characteristic, kunneth_product
 from .hilbert import (
     CompactHilbertSpec,
@@ -43,7 +44,7 @@ from .hilbert import (
 )
 from .ktheory import CircleBundleSpec, k_groups, k_groups_via_d3
 from .selftest import hodge_sum_sweep, k_path_sweep
-from .steenrod import ModPRingPresentation, bockstein, sq, st, verify_axioms, w3_from_w2
+from .steenrod import ModPRingPresentation, axiom_report, bockstein, sq, st, w3_from_w2
 
 
 class _Usage(Exception):
@@ -70,12 +71,14 @@ def _nonneg(value: str) -> int:
 def _load_doc(args) -> dict:
     if getattr(args, "json", None):
         with open(args.json, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    if not sys.stdin.isatty():
-        data = sys.stdin.read()
-        if data.strip():
-            return json.loads(data)
-    raise _Usage("this subcommand needs a JSON document (--json FILE or stdin)")
+            doc = json.load(fh)
+    elif not sys.stdin.isatty() and (data := sys.stdin.read()).strip():
+        doc = json.loads(data)
+    else:
+        raise _Usage("this subcommand needs a JSON document (--json FILE or stdin)")
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"the document must be a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -124,7 +127,7 @@ def _hilbert_spec(args):
         raise _Usage("congruence quotients need --h (cusp count)")
     if args.cusp_dims:
         with open(args.cusp_dims, "r", encoding="utf-8") as fh:
-            table = {int(k): int(v) for k, v in json.load(fh).items()}
+            table = {int(k): as_int(v) for k, v in json.load(fh).items()}
         return CuspidalHilbertSpec(args.n, args.h, table)
     return CuspidalHilbertSpec.uniform(args.n, args.h, args.uniform_cusp_dim)
 
@@ -169,7 +172,7 @@ def _cmd_anomaly(args) -> dict:
         return mms_instability_check(pd, w3, h).to_json()
     if check == "flux":
         g4 = RationalClass.from_strings(doc["g4"])
-        verdict = flux_quantization_check(g4, [int(v) for v in doc["p1"]])
+        verdict = flux_quantization_check(g4, [as_int(v) for v in doc["p1"]])
         return verdict.to_json()
     if check == "d3":
         source = FgAbGroup.from_json(doc["source"])
@@ -177,7 +180,7 @@ def _cmd_anomaly(args) -> dict:
         x = CohomologyElement.from_json(source, doc["x"])
         cup = IntMatrix.from_json(doc["cup_by_h"]) if "cup_by_h" in doc else None
         sq3 = IntMatrix.from_json(doc["sq3"]) if "sq3" in doc else None
-        out = d3_action(x, int(doc["degree"]), cup_by_h=cup, sq3=sq3, target=target)
+        out = d3_action(x, as_int(doc["degree"]), cup_by_h=cup, sq3=sq3, target=target)
         return {"result": out.to_json()}
     if check == "hilbert":
         return hilbert_anomaly_report(spec_from_json(doc["spec"])).to_json()
@@ -188,8 +191,12 @@ def _cmd_steenrod(args) -> dict:
     doc = _load_doc(args)
     pres = ModPRingPresentation.from_json(doc["presentation"])
     if "verify_to_degree" in doc:
-        violations = verify_axioms(pres, int(doc["verify_to_degree"]))
-        return {"violations": [str(v) for v in violations]}
+        report = axiom_report(pres, as_int(doc["verify_to_degree"]))
+        return {
+            "checked": {kind.lower(): n for kind, n in report.checked.items()},
+            "skipped": {kind.lower(): n for kind, n in report.skipped.items()},
+            "violations": [str(v) for v in report.violations],
+        }
     ev = doc["evaluate"]
     x = pres.element(ModPRingPresentation.poly_from_json(ev["element"]))
     label = ev["op"]
@@ -197,10 +204,8 @@ def _cmd_steenrod(args) -> dict:
         out = bockstein(x)
     elif label == "w3_from_w2":
         out = w3_from_w2(x)
-    elif label.lower().startswith("sq"):
-        out = sq(int(label[2:]), x)
-    elif label.lower().startswith("st"):
-        out = st(int(label[2:]), x)
+    elif label[:2].lower() in ("sq", "st"):
+        out = (sq if label[:2].lower() == "sq" else st)(int(label[2:]), x)
     else:
         raise _Usage(f"unknown operation {label!r}")
     return {

@@ -90,6 +90,13 @@ class WrongDegree(DomainError):
     code = "WRONG_DEGREE"
 
 
+class InvalidInput(DomainError):
+    """A document or value without a meaning: a JSON document that is not
+    an object, a rational with a zero denominator."""
+
+    code = "INVALID_INPUT"
+
+
 class NotASublattice(DomainError):
     """Quotient requested by generators that do not lie in the lattice."""
 

@@ -226,26 +226,27 @@ def tensor_product_complex(
             out += [(p, i, j) for i in range(dx[p]) for j in range(dy[q])]
         return out
 
+    def columns(b: IntMatrix) -> list[list[tuple[int, int]]]:
+        """The (row, value) nonzeros of each column of ``b``."""
+        return [[(r, v) for r, v in enumerate(b.column(j)) if v] for j in range(b.cols)]
+
+    cols_x = [columns(b) for b in boundaries_x]
+    cols_y = [columns(b) for b in boundaries_y]
     boundaries: list[IntMatrix] = []
     for n in range(1, top_x + top_y + 1):
         src = basis(n)
         tgt = basis(n - 1)
         index = {key: pos for pos, key in enumerate(tgt)}
-        rows = [[0] * len(src) for _ in range(len(tgt))]
+        width = len(src)
+        entries = [0] * (len(tgt) * width)
         for col, (p, i, j) in enumerate(src):
             q = n - p
             if p >= 1:
-                bx = boundaries_x[p - 1]
-                for r in range(bx.rows):
-                    v = bx.at(r, i)
-                    if v:
-                        rows[index[(p - 1, r, j)]][col] += v
+                for r, v in cols_x[p - 1][i]:
+                    entries[index[(p - 1, r, j)] * width + col] += v
             if q >= 1:
-                by = boundaries_y[q - 1]
                 sign = -1 if p % 2 else 1
-                for s in range(by.rows):
-                    v = by.at(s, j)
-                    if v:
-                        rows[index[(p, i, s)]][col] += sign * v
-        boundaries.append(IntMatrix.from_rows(rows, cols=len(src)))
+                for s, v in cols_y[q - 1][j]:
+                    entries[index[(p, i, s)] * width + col] += sign * v
+        boundaries.append(IntMatrix(len(tgt), width, tuple(entries)))
     return boundaries

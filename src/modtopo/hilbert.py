@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .abgroup import FgAbGroup
+from .abgroup import FgAbGroup, as_int, require_ints
 from .errors import DegreeOutOfRange
 from .graded import GradedCohomology
 
@@ -55,6 +55,7 @@ class CompactHilbertSpec:
     dim_weight2: int = 0
 
     def __post_init__(self):
+        require_ints("n and dim_weight2", self.n, self.dim_weight2)
         if self.n < 1:
             raise ValueError("need at least one half-plane factor")
         if self.dim_weight2 < 0:
@@ -65,7 +66,7 @@ class CompactHilbertSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CompactHilbertSpec":
-        return cls(int(doc["n"]), int(doc.get("dim_weight2", 0)))
+        return cls(as_int(doc["n"]), as_int(doc.get("dim_weight2", 0)))
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,13 @@ class CuspidalHilbertSpec:
     cusp_dims: dict[int, int]
 
     def __post_init__(self):
+        dims = dict(self.cusp_dims)
+        require_ints("n, cusps and cusp dimensions", self.n, self.num_cusps, *dims, *dims.values())
         if self.n < 1:
             raise ValueError("need at least one half-plane factor")
         if self.num_cusps < 1:
             raise ValueError("a congruence quotient has at least one cusp")
         want = set(range(2**self.n))
-        dims = {int(k): int(v) for k, v in self.cusp_dims.items()}
         if set(dims) != want:
             raise ValueError(f"cusp_dims must cover all {2**self.n} subsets of {{1..{self.n}}}")
         if any(v < 0 for v in dims.values()):
@@ -123,9 +125,9 @@ class CuspidalHilbertSpec:
     @classmethod
     def from_json(cls, doc: dict) -> "CuspidalHilbertSpec":
         return cls(
-            int(doc["n"]),
-            int(doc["h"]),
-            {int(k): int(v) for k, v in doc["cusp_dims"].items()},
+            as_int(doc["n"]),
+            as_int(doc["h"]),
+            {int(k): as_int(v) for k, v in doc["cusp_dims"].items()},
         )
 
 

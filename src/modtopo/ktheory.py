@@ -33,8 +33,10 @@ from itertools import chain
 from .abgroup import (
     FgAbGroup,
     IntMatrix,
+    as_int,
     integer_kernel_basis,
     lattice_quotient,
+    require_ints,
 )
 from .errors import InvalidDimension, NoUnitSummand
 from .graded import GradedCohomology
@@ -53,6 +55,7 @@ class CircleBundleSpec:
     twist: int = 0
 
     def __post_init__(self):
+        require_ints("genus, chern and twist", self.genus, self.chern, self.twist)
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
         if self.twist < 0:
@@ -63,7 +66,7 @@ class CircleBundleSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CircleBundleSpec":
-        return cls(int(doc["genus"]), int(doc.get("chern", 0)), int(doc.get("twist", 0)))
+        return cls(as_int(doc["genus"]), as_int(doc.get("chern", 0)), as_int(doc.get("twist", 0)))
 
 
 @dataclass(frozen=True)

@@ -320,3 +320,33 @@ def test_missing_input_doc_is_usage_error(capsys, monkeypatch):
     code, out, err = invoke(capsys, "group")
     assert code == 2
     assert out == ""
+
+
+def test_non_object_document_is_domain_error(capsys, monkeypatch):
+    import io
+    import sys as _sys
+
+    monkeypatch.setattr(_sys, "stdin", io.StringIO("[1, 2]"))
+    code, out, err = invoke(capsys, "group")
+    assert code == 1
+    assert out == ""
+    assert "INVALID_INPUT" in err and "Traceback" not in err
+
+
+def test_zero_denominator_is_domain_error(capsys, tmp_path):
+    path = write_json(tmp_path, "in.json", {"check": "flux", "g4": ["1/0"], "p1": [2]})
+    code, out, err = invoke(capsys, "anomaly", "--json", path)
+    assert code == 1
+    assert out == ""
+    assert "INVALID_INPUT" in err and "Traceback" not in err
+
+
+def test_steenrod_verify_reports_checked_and_skipped(capsys, tmp_path):
+    pres = {"p": 2, "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}]}
+    path = write_json(tmp_path, "in.json", {"presentation": pres, "verify_to_degree": 10})
+    doc = invoke_json(capsys, "steenrod", "--json", path)
+    assert doc["violations"] == []
+    kinds = {"bockstein", "cartan", "instability", "squaring"}
+    assert set(doc["checked"]) == set(doc["skipped"]) == kinds
+    assert sum(doc["skipped"].values()) > 0
+    assert sum(doc["checked"].values()) > 0

@@ -1,4 +1,9 @@
+import itertools
+from math import comb, prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from modtopo.errors import (
     Inhomogeneous,
@@ -9,6 +14,7 @@ from modtopo.errors import (
 )
 from modtopo.steenrod import (
     ModPRingPresentation,
+    axiom_report,
     bockstein,
     sq,
     st,
@@ -312,3 +318,148 @@ def test_serialization_round_trip():
         sq(1, back.gen("u") * back.gen("x")).poly
         == sq(1, pres.gen("u") * pres.gen("x")).poly
     )
+
+
+# -- the Cartan core against closed forms ------------------------------------------
+
+# (prime, generator degree): Sq^i x^a = C(a, i) x^(a+i) for deg x = 1, and
+# Sq^2i y^a = C(a, i) y^(a+i), St^i y^a = C(a, i) y^(a+i(p-1)) for deg y = 2
+FAMILIES = [(2, 1), (2, 2), (3, 2), (5, 2)]
+
+
+def closed_form(p, degree, exps, truncs, k):
+    """The operation of index k on prod x_i^a_i, truncated at x_i^(t_i+1)."""
+    if p == 2 and degree == 2:
+        if k % 2:
+            return {}
+        k //= 2
+    growth = 1 if p == 2 else p - 1
+    out = {}
+    for split in itertools.product(*(range(a + 1) for a in exps)):
+        if sum(split) != k:
+            continue
+        c = prod(comb(a, i) for a, i in zip(exps, split)) % p
+        mono = tuple(a + i * growth for a, i in zip(exps, split))
+        if c and all(t is None or e <= t for e, t in zip(mono, truncs)):
+            out[mono] = c
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(hs.data())
+def test_operations_match_binomial_closed_form(data):
+    p, degree = data.draw(hs.sampled_from(FAMILIES))
+    n = data.draw(hs.integers(1, 3))
+    truncs = data.draw(hs.lists(hs.none() | hs.integers(1, 7), min_size=n, max_size=n))
+    exps = [data.draw(hs.integers(0, 6 if t is None else t)) for t in truncs]
+    names = [f"g{i}" for i in range(n)]
+    relations = [[(1, {g: t + 1})] for g, t in zip(names, truncs) if t is not None]
+    table = {("Sq", 1, g): 0 for g in names} if (p, degree) == (2, 2) else {}
+    pres = ModPRingPresentation(p, [(g, degree) for g in names], relations, table)
+    x = pres.element([(1, dict(zip(names, exps)))])
+    top = sum(exps) * degree // (1 if p == 2 else 2)
+    k = data.draw(hs.integers(0, top + 2))
+    got = (sq if p == 2 else st)(k, x)
+    assert got.poly == closed_form(p, degree, exps, truncs, k)
+
+
+# -- pinned verifier output ----------------------------------------------------------
+
+PINNED = [
+    (
+        "x^2 = u with a perturbed Sq^1 u",
+        ModPRingPresentation(
+            2,
+            [("x", 1), ("u", 2)],
+            [[(1, {"x": 2}), (1, {"u": 1})]],
+            operations={("Sq", 1, "u"): [(1, {"x": 1, "u": 1})]},
+        ),
+        6,
+        [
+            "BOCKSTEIN: Sq^1 Sq^1 (x) != 0 [x*u != 0]",
+            "BOCKSTEIN: Sq^1 Sq^1 (x*u^2) != 0 [x*u^3 != 0]",
+            "CARTAN: Sq^1(x * x) [x*u != 0]",
+            "CARTAN: Sq^1(x * x*u) [0 != x*u^2]",
+            "CARTAN: Sq^2(x * x*u) [u^3 != 0]",
+            "CARTAN: Sq^3(x * x*u) [0 != x*u^3]",
+            "CARTAN: Sq^1(x * x*u^2) [x*u^3 != 0]",
+            "CARTAN: Sq^3(x * x*u^2) [x*u^4 != 0]",
+            "CARTAN: Sq^5(x * x*u^2) [x*u^5 != 0]",
+            "CARTAN: Sq^1(x*u * x*u) [x*u^3 != 0]",
+            "CARTAN: Sq^3(x*u * x*u) [x*u^4 != 0]",
+            "CARTAN: Sq^5(x*u * x*u) [x*u^5 != 0]",
+        ],
+    ),
+    (
+        "Sq^1 u of the wrong degree",
+        ModPRingPresentation(2, [("x", 1), ("u", 2)], operations={("Sq", 1, "u"): [(1, {"x": 1})]}),
+        4,
+        [
+            "DEGREE: Sq^1(u) must be homogeneous of degree 3, got degrees [1]",
+            "BOCKSTEIN: Sq^1 Sq^1 (u) != 0 [x^2 != 0]",
+            "BOCKSTEIN: Sq^1 Sq^1 (x^2*u) != 0 [x^4 != 0]",
+        ],
+    ),
+    (
+        "u^3 = v mod 3 with St^1 v = u^5",
+        ModPRingPresentation(
+            3,
+            [("u", 2), ("v", 6)],
+            [[(1, {"u": 3}), (2, {"v": 1})]],
+            operations={("St", 1, "v"): [(1, {"u": 5})], ("beta", "u"): 0, ("beta", "v"): 0},
+        ),
+        14,
+        [
+            "CARTAN: St^1(u * u^2) [u^2*v != 0]",
+            "CARTAN: St^1(u * u^2*v) [2*u^2*v^2 != u^2*v^2]",
+            "CARTAN: St^1(u*v * u^2) [2*u^2*v^2 != u^2*v^2]",
+            "CARTAN: St^1(u^2 * u^2) [2*v^2 != v^2]",
+            "CARTAN: St^1(u^2 * u^2*v) [0 != 2*v^3]",
+        ],
+    ),
+    (
+        "a perturbed beta u mod 3",
+        ModPRingPresentation(
+            3,
+            [("a", 1), ("u", 2)],
+            operations={
+                ("beta", "a"): [(1, {"u": 1})],
+                ("beta", "u"): [(1, {"a": 1, "u": 1})],
+                ("St", 1, "a"): 0,
+            },
+        ),
+        7,
+        [
+            "BOCKSTEIN: beta beta (u) != 0 [u^2 != 0]",
+            "BOCKSTEIN: beta beta (u^2) != 0 [2*u^3 != 0]",
+            "BOCKSTEIN: beta beta (a) != 0 [a*u != 0]",
+            "BOCKSTEIN: beta beta (a*u) != 0 [2*a*u^2 != 0]",
+            "BOCKSTEIN: beta beta (a*u^3) != 0 [a*u^4 != 0]",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("label,pres,degree,want", PINNED, ids=[p[0] for p in PINNED])
+def test_verify_axioms_pinned_violations(label, pres, degree, want):
+    assert [str(v) for v in verify_axioms(pres, degree)] == want
+
+
+def test_axiom_report_counts_skipped_identities():
+    pres = ModPRingPresentation(2, [("x", 2), ("y", 3)])
+    with pytest.raises(Undetermined):
+        sq(1, pres.gen("x"))
+    report = axiom_report(pres, 10)
+    assert report.violations == verify_axioms(pres, 10) == []
+    assert sum(report.skipped.values()) > 0
+    assert report.skipped["CARTAN"] > 0
+    assert sum(report.checked.values()) > 0
+
+
+def test_axiom_report_clean_ring_skips_nothing():
+    report = axiom_report(ModPRingPresentation(2, [("x", 1)], [[(1, {"x": 3})]]), 8)
+    assert report.violations == []
+    assert sum(report.skipped.values()) == 0
+    # x, x^2 and the unit: 2 instability, 1 squaring, 1 Bockstein each
+    assert report.checked["INSTABILITY"] == 6
+    assert report.checked["SQUARING"] == 3
