@@ -28,7 +28,7 @@ from itertools import chain
 from math import gcd, prod
 from operator import mul
 
-from .errors import DimensionMismatch, NotAComplex, NotASublattice
+from .errors import DimensionMismatch, InvalidInput, NotAComplex, NotASublattice
 
 
 def is_prime(n: int) -> bool:
@@ -57,6 +57,15 @@ def as_int(v) -> int:
     if isinstance(v, str):
         return int(v, 10)
     raise ValueError(f"expected integer, got {v!r}")
+
+
+def json_shape(value, kind: type, what: str):
+    """``value`` if it is a JSON object (``kind`` dict) or array (``kind``
+    list, which a tuple also satisfies); InvalidInput otherwise."""
+    if isinstance(value, (list, tuple) if kind is list else kind):
+        return value
+    shape = "object" if kind is dict else "array"
+    raise InvalidInput(f"{what} must be a JSON {shape}, not {type(value).__name__}")
 
 
 def require_ints(what: str, *values) -> None:
@@ -153,7 +162,9 @@ class IntMatrix:
 
     @classmethod
     def from_json(cls, doc: dict) -> "IntMatrix":
-        return cls(int(doc["rows"]), int(doc["cols"]), tuple(as_int(v) for v in doc["entries"]))
+        json_shape(doc, dict, "a matrix")
+        entries = json_shape(doc["entries"], list, "matrix entries")
+        return cls(as_int(doc["rows"]), as_int(doc["cols"]), tuple(map(as_int, entries)))
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -394,9 +405,13 @@ def image_lattice_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols=len(cols))
 
 
-def _solve_prepared(s: SnfResult, cols: int, b) -> list[int] | None:
+def solve_integer(m: IntMatrix, b: list[int] | tuple[int, ...]) -> list[int] | None:
+    """One integer solution x of M x = b, or None if none exists."""
+    if len(b) != m.rows:
+        raise DimensionMismatch(f"vector length {len(b)} != rows {m.rows}")
+    s = smith_normal_form(m)
     y = s.left_inv.apply(list(b))
-    z = [0] * cols
+    z = [0] * m.cols
     for i, yi in enumerate(y):
         d = s.diagonal[i] if i < len(s.diagonal) else 0
         if d == 0:
@@ -409,13 +424,6 @@ def _solve_prepared(s: SnfResult, cols: int, b) -> list[int] | None:
     return s.right_inv.apply(z)
 
 
-def solve_integer(m: IntMatrix, b: list[int] | tuple[int, ...]) -> list[int] | None:
-    """One integer solution x of M x = b, or None if none exists."""
-    if len(b) != m.rows:
-        raise DimensionMismatch(f"vector length {len(b)} != rows {m.rows}")
-    return _solve_prepared(smith_normal_form(m), m.cols, b)
-
-
 def lattice_quotient(span_gens: IntMatrix, sub_gens: IntMatrix) -> "FgAbGroup":
     """L / S for the lattices generated by the given column sets.
 
@@ -425,21 +433,24 @@ def lattice_quotient(span_gens: IntMatrix, sub_gens: IntMatrix) -> "FgAbGroup":
     """
     if span_gens.rows != sub_gens.rows:
         raise DimensionMismatch("lattice generators live in different ambient ranks")
-    basis = image_lattice_basis(span_gens)
-    t = basis.cols
-    if t == 0:
+    diag, (li, _, _, _) = _eliminate(_sparse_rows(span_gens), span_gens.cols, transforms=True)
+    r = sum(1 for d in diag if d)
+    if r == 0:
         if not sub_gens.is_zero():
             raise NotASublattice("sub-lattice generators outside the zero lattice")
         return FgAbGroup.trivial()
-    prepared = smith_normal_form(basis)
-    coeff_cols = []
+    # L has the basis d_i * (column i of left), i < r, so b = left * y with
+    # y = left_inv * b lies in L exactly when y_i = 0 past r and d_i | y_i
+    rows: list[dict[int, int]] = [{} for _ in range(r)]
     for j in range(sub_gens.cols):
-        x = _solve_prepared(prepared, basis.cols, sub_gens.column(j))
-        if x is None:
+        b = sub_gens.column(j)
+        y = [sum(map(mul, row, b)) for row in li]
+        if any(y[r:]) or any(yi % d for yi, d in zip(y, diag[:r])):
             raise NotASublattice("generator not contained in the ambient lattice")
-        coeff_cols.append(x)
-    rows = [{j: x[i] for j, x in enumerate(coeff_cols) if x[i]} for i in range(t)]
-    return _cokernel(t, _eliminate(rows, len(coeff_cols))[0])
+        for i in range(r):
+            if y[i]:
+                rows[i][j] = y[i] // diag[i]
+    return _cokernel(r, _eliminate(rows, sub_gens.cols)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +608,9 @@ class FgAbGroup:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FgAbGroup":
-        return cls(as_int(doc["rank"]), tuple(as_int(d) for d in doc.get("torsion", ())))
+        json_shape(doc, dict, "a group")
+        torsion = json_shape(doc.get("torsion", ()), list, "group torsion")
+        return cls(as_int(doc["rank"]), tuple(map(as_int, torsion)))
 
     def __str__(self) -> str:
         parts: list[str] = []

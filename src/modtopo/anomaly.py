@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .abgroup import FgAbGroup, IntMatrix, as_int, require_ints
+from .abgroup import FgAbGroup, IntMatrix, as_int, json_shape, require_ints
 from .errors import AmbientMismatch, InvalidInput, LengthMismatch, ShapeMismatch
 from .hilbert import (
     CompactHilbertSpec,
@@ -115,11 +115,10 @@ class CohomologyElement:
 
     @classmethod
     def from_json(cls, ambient: FgAbGroup, doc: dict) -> "CohomologyElement":
-        return cls(
-            ambient,
-            tuple(as_int(v) for v in doc.get("free", ())),
-            tuple(as_int(v) for v in doc.get("torsion", ())),
-        )
+        json_shape(doc, dict, "a cohomology element")
+        free = json_shape(doc.get("free", ()), list, "free coordinates")
+        torsion = json_shape(doc.get("torsion", ()), list, "torsion coordinates")
+        return cls(ambient, tuple(map(as_int, free)), tuple(map(as_int, torsion)))
 
 
 @dataclass(frozen=True)
@@ -204,12 +203,17 @@ class RationalClass:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) for c in self.coords)
-        )
+        coords = tuple(self.coords)
+        if any(isinstance(c, (bool, float)) for c in coords):
+            raise TypeError("rational coordinates must be exact (not bool or float)")
+        object.__setattr__(self, "coords", tuple(map(Fraction, coords)))
 
     @classmethod
     def from_strings(cls, items) -> "RationalClass":
+        """Coordinates read from JSON: strings such as "1/2", or integers."""
+        json_shape(items, list, "rational coordinates")
+        if not all(type(s) in (str, int) for s in items):
+            raise ValueError(f"expected rational strings or integers, got {items!r}")
         try:
             return cls(tuple(Fraction(s) for s in items))
         except ZeroDivisionError:

@@ -6,6 +6,9 @@ written to standard output (sorted keys, two-space indent, big integers
 as decimal strings); diagnostics go to standard error.  On nonzero exit
 standard output stays empty unless ``--partial`` is passed.  Setting the
 environment variable MODTOPO_NO_COLOR disables ANSI styling on stderr.
+
+Each subcommand handler imports the modules it uses, so one process loads
+only what its command needs.
 """
 
 from __future__ import annotations
@@ -21,30 +24,10 @@ from .abgroup import (
     as_int,
     homology_of_complex,
     json_int,
+    json_shape,
     smith_normal_form,
 )
-from .anomaly import (
-    CohomologyElement,
-    RationalClass,
-    d3_action,
-    flux_quantization_check,
-    freed_witten_check,
-    hilbert_anomaly_report,
-    mms_instability_check,
-)
-from .errors import DomainError, InvalidInput
-from .graded import GradedCohomology, betti, euler_characteristic, kunneth_product
-from .hilbert import (
-    CompactHilbertSpec,
-    CuspidalHilbertSpec,
-    betti_total,
-    compact_implied_volume,
-    hodge_slice,
-    spec_from_json,
-)
-from .ktheory import CircleBundleSpec, k_groups, k_groups_via_d3
-from .selftest import hodge_sum_sweep, k_path_sweep
-from .steenrod import ModPRingPresentation, axiom_report, bockstein, sq, st, w3_from_w2
+from .errors import DomainError
 
 
 class _Usage(Exception):
@@ -76,9 +59,7 @@ def _load_doc(args) -> dict:
         doc = json.loads(data)
     else:
         raise _Usage("this subcommand needs a JSON document (--json FILE or stdin)")
-    if not isinstance(doc, dict):
-        raise InvalidInput(f"the document must be a JSON object, not {type(doc).__name__}")
-    return doc
+    return json_shape(doc, dict, "the document")
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -95,9 +76,8 @@ def _cmd_group(args) -> dict:
             "right": s.right.to_json(),
         }
     if op == "homology":
-        groups = homology_of_complex(
-            [IntMatrix.from_json(b) for b in doc["boundaries"]]
-        )
+        boundaries = json_shape(doc["boundaries"], list, "boundaries")
+        groups = homology_of_complex([IntMatrix.from_json(b) for b in boundaries])
         return {"groups": [g.to_json() for g in groups]}
     if op in ("direct_sum", "tensor", "tor", "hom", "ext", "is_isomorphic"):
         a = FgAbGroup.from_json(doc["a"])
@@ -109,6 +89,8 @@ def _cmd_group(args) -> dict:
 
 
 def _cmd_kunneth(args) -> dict:
+    from .graded import GradedCohomology, betti, euler_characteristic, kunneth_product
+
     doc = _load_doc(args)
     x = GradedCohomology.from_json(doc["x"])
     y = GradedCohomology.from_json(doc["y"])
@@ -121,18 +103,22 @@ def _cmd_kunneth(args) -> dict:
 
 
 def _hilbert_spec(args):
+    from .hilbert import CompactHilbertSpec, CuspidalHilbertSpec, cusp_dims_from_json
+
     if args.compact:
         return CompactHilbertSpec(args.n, args.dim_weight2)
     if args.h is None:
         raise _Usage("congruence quotients need --h (cusp count)")
     if args.cusp_dims:
         with open(args.cusp_dims, "r", encoding="utf-8") as fh:
-            table = {int(k): as_int(v) for k, v in json.load(fh).items()}
+            table = cusp_dims_from_json(json.load(fh))
         return CuspidalHilbertSpec(args.n, args.h, table)
     return CuspidalHilbertSpec.uniform(args.n, args.h, args.uniform_cusp_dim)
 
 
 def _cmd_hilbert(args):
+    from .hilbert import CompactHilbertSpec, betti_total, compact_implied_volume, hodge_slice
+
     spec = _hilbert_spec(args)
     bettis = [betti_total(spec, m) for m in range(2 * spec.n + 1)]
     if args.betti and not args.hodge:
@@ -149,6 +135,8 @@ def _cmd_hilbert(args):
 
 
 def _cmd_kcircle(args) -> dict:
+    from .ktheory import CircleBundleSpec, k_groups, k_groups_via_d3
+
     spec = CircleBundleSpec(args.genus, args.chern, args.twist)
     pair = k_groups_via_d3(spec) if args.path == "d3" else k_groups(spec)
     doc = pair.to_json()
@@ -157,6 +145,17 @@ def _cmd_kcircle(args) -> dict:
 
 
 def _cmd_anomaly(args) -> dict:
+    from .anomaly import (
+        CohomologyElement,
+        RationalClass,
+        d3_action,
+        flux_quantization_check,
+        freed_witten_check,
+        hilbert_anomaly_report,
+        mms_instability_check,
+    )
+    from .hilbert import spec_from_json
+
     doc = _load_doc(args)
     check = doc.get("check")
     if check == "freed_witten":
@@ -172,7 +171,8 @@ def _cmd_anomaly(args) -> dict:
         return mms_instability_check(pd, w3, h).to_json()
     if check == "flux":
         g4 = RationalClass.from_strings(doc["g4"])
-        verdict = flux_quantization_check(g4, [as_int(v) for v in doc["p1"]])
+        p1 = json_shape(doc["p1"], list, "p1")
+        verdict = flux_quantization_check(g4, [as_int(v) for v in p1])
         return verdict.to_json()
     if check == "d3":
         source = FgAbGroup.from_json(doc["source"])
@@ -188,6 +188,8 @@ def _cmd_anomaly(args) -> dict:
 
 
 def _cmd_steenrod(args) -> dict:
+    from .steenrod import ModPRingPresentation, axiom_report, bockstein, sq, st, w3_from_w2
+
     doc = _load_doc(args)
     pres = ModPRingPresentation.from_json(doc["presentation"])
     if "verify_to_degree" in doc:
@@ -197,14 +199,14 @@ def _cmd_steenrod(args) -> dict:
             "skipped": {kind.lower(): n for kind, n in report.skipped.items()},
             "violations": [str(v) for v in report.violations],
         }
-    ev = doc["evaluate"]
+    ev = json_shape(doc["evaluate"], dict, "the evaluation")
     x = pres.element(ModPRingPresentation.poly_from_json(ev["element"]))
     label = ev["op"]
     if label == "beta":
         out = bockstein(x)
     elif label == "w3_from_w2":
         out = w3_from_w2(x)
-    elif label[:2].lower() in ("sq", "st"):
+    elif isinstance(label, str) and label[:2].lower() in ("sq", "st"):
         out = (sq if label[:2].lower() == "sq" else st)(int(label[2:]), x)
     else:
         raise _Usage(f"unknown operation {label!r}")
@@ -215,6 +217,8 @@ def _cmd_steenrod(args) -> dict:
 
 
 def _cmd_self_test(args):
+    from .selftest import hodge_sum_sweep, k_path_sweep
+
     reports = [
         k_path_sweep(max_genus=args.max_genus, inject_fault=args.inject_fault),
         hodge_sum_sweep(inject_fault=args.inject_fault),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abgroup import FgAbGroup, IntMatrix, is_prime
+from .abgroup import FgAbGroup, IntMatrix, as_int, is_prime, json_shape
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,9 @@ class GradedCohomology:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GradedCohomology":
-        groups = tuple(FgAbGroup.from_json(g) for g in doc["groups"])
-        if int(doc["top_degree"]) != len(groups) - 1:
+        json_shape(doc, dict, "a graded value")
+        groups = tuple(map(FgAbGroup.from_json, json_shape(doc["groups"], list, "graded groups")))
+        if as_int(doc["top_degree"]) != len(groups) - 1:
             raise ValueError("top_degree does not match the group list")
         return cls(groups, doc.get("label", ""))
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .abgroup import FgAbGroup, as_int, require_ints
+from .abgroup import FgAbGroup, as_int, json_shape, require_ints
 from .errors import DegreeOutOfRange
 from .graded import GradedCohomology
 
@@ -124,17 +124,20 @@ class CuspidalHilbertSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CuspidalHilbertSpec":
-        return cls(
-            as_int(doc["n"]),
-            as_int(doc["h"]),
-            {int(k): as_int(v) for k, v in doc["cusp_dims"].items()},
-        )
+        return cls(as_int(doc["n"]), as_int(doc["h"]), cusp_dims_from_json(doc["cusp_dims"]))
 
 
 HilbertSpec = CompactHilbertSpec | CuspidalHilbertSpec
 
 
+def cusp_dims_from_json(doc: dict) -> dict[int, int]:
+    """A {bitmask-string: dimension} object as {bitmask: dimension}."""
+    json_shape(doc, dict, "cusp dimensions")
+    return {int(k): as_int(v) for k, v in doc.items()}
+
+
 def spec_from_json(doc: dict) -> HilbertSpec:
+    json_shape(doc, dict, "a Hilbert spec")
     if doc.get("compact", "h" not in doc):
         return CompactHilbertSpec.from_json(doc)
     return CuspidalHilbertSpec.from_json(doc)

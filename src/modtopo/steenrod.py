@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from operator import add, le, mul, sub
 
-from .abgroup import is_prime
+from .abgroup import as_int, is_prime, json_shape
 from .errors import (
     Inhomogeneous,
     NotModTwo,
@@ -419,7 +419,12 @@ class ModPRingPresentation:
 
     @staticmethod
     def poly_from_json(items) -> list:
-        return [(t["coeff"], dict(t.get("monomial", {}))) for t in items]
+        out = []
+        for term in json_shape(items, list, "a polynomial"):
+            json_shape(term, dict, "a term")
+            mono = json_shape(term.get("monomial", {}), dict, "a monomial")
+            out.append((as_int(term["coeff"]), {name: as_int(e) for name, e in mono.items()}))
+        return out
 
     def to_json(self) -> dict:
         ops = []
@@ -443,19 +448,26 @@ class ModPRingPresentation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ModPRingPresentation":
-        gens = [(g["name"], g["degree"]) for g in doc["generators"]]
-        rels = [cls.poly_from_json(r) for r in doc.get("relations", ())]
+        json_shape(doc, dict, "a presentation")
+        gens = []
+        for g in json_shape(doc["generators"], list, "generators"):
+            json_shape(g, dict, "a generator")
+            gens.append((g["name"], as_int(g["degree"])))
+        rels = [cls.poly_from_json(r) for r in json_shape(doc.get("relations", ()), list, "relations")]
         ops = {}
-        for entry in doc.get("ops", ()):
-            label = entry["op"]
+        for entry in json_shape(doc.get("ops", ()), list, "operation values"):
+            json_shape(entry, dict, "an operation value")
+            label, gen = entry["op"], entry["gen"]
+            if not isinstance(gen, str):
+                raise ValueError(f"unknown generator {gen!r}")
             if label == "beta":
-                key = ("beta", entry["gen"])
-            elif label[:2].lower() in ("sq", "st"):
-                key = (label[:2].lower(), int(label[2:]), entry["gen"])
+                key = ("beta", gen)
+            elif isinstance(label, str) and label[:2].lower() in ("sq", "st"):
+                key = (label[:2].lower(), int(label[2:]), gen)
             else:
                 raise ValueError(f"unknown operation label {label!r}")
             ops[key] = cls.poly_from_json(entry["value"])
-        return cls(doc["p"], gens, rels, ops)
+        return cls(as_int(doc["p"]), gens, rels, ops)
 
 
 class RingElement:

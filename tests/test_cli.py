@@ -350,3 +350,32 @@ def test_steenrod_verify_reports_checked_and_skipped(capsys, tmp_path):
     assert set(doc["checked"]) == set(doc["skipped"]) == kinds
     assert sum(doc["skipped"].values()) > 0
     assert sum(doc["checked"].values()) > 0
+
+
+def test_scalar_in_place_of_a_group_is_domain_error(capsys, monkeypatch):
+    import io
+    import sys as _sys
+
+    doc = {"op": "tensor", "a": 5, "b": {"rank": 1}}
+    monkeypatch.setattr(_sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = invoke(capsys, "group")
+    assert code == 1
+    assert out == ""
+    assert "INVALID_INPUT" in err and "Traceback" not in err
+
+
+def test_cusp_dims_file_holding_an_array_is_domain_error(capsys, tmp_path):
+    path = write_json(tmp_path, "dims.json", [1, 1])
+    code, out, err = invoke(capsys, "hilbert", "--n", "1", "--h", "1", "--cusp-dims", path)
+    assert code == 1
+    assert out == ""
+    assert "INVALID_INPUT" in err and "Traceback" not in err
+
+
+def test_float_or_bool_flux_coordinate_is_usage_error(capsys, tmp_path):
+    for g4 in ([0.1], [True]):
+        path = write_json(tmp_path, "in.json", {"check": "flux", "g4": g4, "p1": [2]})
+        code, out, err = invoke(capsys, "anomaly", "--json", path)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err

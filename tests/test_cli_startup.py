@@ -1,0 +1,117 @@
+"""What `import modtopo` and one CLI command load, and what the CLI prints.
+
+The package resolves its public names on first access (PEP 562), and
+each CLI subcommand imports only the modules it uses.  The subprocess
+tests pin that; the golden test pins the stdout of the README examples
+and of one command per subcommand, byte for byte.
+"""
+
+import importlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import modtopo
+from modtopo.cli import run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text(encoding="utf-8"))
+
+# the public names of the package, by the module that defines them
+EXPORTED = {
+    "abgroup": """FgAbGroup IntMatrix SnfResult cohomology_of_cochain_complex determinant
+        dual_complex homology_of_complex image_lattice_basis integer_kernel_basis is_prime
+        lattice_quotient matrix_rank smith_normal_form solve_integer""",
+    "anomaly": """CohomologyElement FluxVerdict FreedWittenVerdict HilbertAnomalyReport
+        MmsVerdict RationalClass d3_action flux_quantization_check freed_witten_check
+        hilbert_anomaly_report mms_instability_check""",
+    "errors": """AmbientMismatch DegreeOutOfRange DimensionMismatch DomainError Inhomogeneous
+        InvalidDimension LengthMismatch NoUnitSummand NotAComplex NotASublattice NotModTwo
+        NotOddPrime ShapeMismatch Undetermined WrongDegree""",
+    "graded": """BettiTable CoefficientSpec GradedCohomology betti cohomology_with_coefficients
+        euler_characteristic homology_with_coefficients kunneth_product tensor_product_complex""",
+    "hilbert": """CompactHilbertSpec CuspidalBetti CuspidalHilbertSpec FiltrationDims HodgeSlice
+        betti_total compact_betti compact_implied_volume cuspidal_betti hodge_filtration_dims
+        hodge_slice variety_cohomology""",
+    "ktheory": """CircleBundleSpec KPair k_groups k_groups_via_d3 product_with_torus reduced_k
+        surface_k_groups t_duality_check torus_k_groups total_space_cohomology""",
+    "selftest": "hodge_sum_sweep k_path_sweep",
+    "steenrod": """AxiomReport AxiomViolation ModPRingPresentation RingElement axiom_report
+        bockstein sq st verify_axioms w3_from_w2""",
+}
+NAMES = [(module, name) for module, names in EXPORTED.items() for name in names.split()]
+
+
+def python(*args, stdin=""):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env, timeout=60
+    )
+
+
+# runs modtopo.cli as ``python -m`` does, then lists the modtopo modules loaded
+RUN_CLI = """
+import runpy, sys
+sys.argv[0] = "modtopo"
+try:
+    runpy.run_module("modtopo.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(*sorted(m for m in sys.modules if m.startswith("modtopo")), file=sys.stderr)
+"""
+
+
+def cli_loads(argv, doc):
+    """The modtopo modules that one CLI command loads."""
+    proc = python("-c", RUN_CLI, *argv, stdin=json.dumps(doc))
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_import_modtopo_loads_no_submodule():
+    proc = python("-c", "import sys, modtopo; print(sorted(m for m in sys.modules if 'modtopo' in m))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['modtopo']"]
+
+
+def test_group_command_loads_abgroup_and_errors_only():
+    doc = {"op": "tensor", "a": {"rank": 0, "torsion": [4]}, "b": {"rank": 0, "torsion": [6]}}
+    assert cli_loads(["group"], doc) == {"modtopo", "modtopo.abgroup", "modtopo.errors"}
+
+
+def test_steenrod_evaluation_loads_no_other_calculator():
+    doc = {
+        "presentation": {"p": 2, "generators": [{"name": "x", "degree": 1}]},
+        "evaluate": {"op": "Sq1", "element": [{"coeff": 1, "monomial": {"x": 1}}]},
+    }
+    loaded = cli_loads(["steenrod"], doc)
+    assert "modtopo.steenrod" in loaded
+    others = {f"modtopo.{m}" for m in ("hilbert", "anomaly", "graded", "ktheory", "selftest")}
+    assert not loaded & others
+
+
+def test_every_exported_name_resolves_to_its_module_object():
+    assert len(NAMES) == 83
+    assert sorted(modtopo.__all__) == sorted(name for _, name in NAMES)
+    for module, name in NAMES:
+        value = getattr(modtopo, name)
+        assert value is getattr(importlib.import_module(f"modtopo.{module}"), name), name
+        assert vars(modtopo)[name] is value  # bound once, then a plain attribute
+    assert set(dir(modtopo)) >= {name for _, name in NAMES} | set(EXPORTED)
+    assert modtopo.steenrod is importlib.import_module("modtopo.steenrod")
+    with pytest.raises(AttributeError):
+        modtopo.no_such_name
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["label"] for c in GOLDEN])
+def test_cli_stdout_is_unchanged(case, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
+    code = run(case["argv"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == case["stdout"]

@@ -10,7 +10,7 @@ terms cancel.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from modtopo.abgroup import (
@@ -19,10 +19,11 @@ from modtopo.abgroup import (
     determinant,
     homology_of_complex,
     integer_kernel_basis,
+    lattice_quotient,
     matrix_rank,
     smith_normal_form,
 )
-from modtopo.errors import NotAComplex
+from modtopo.errors import NotAComplex, NotASublattice
 from modtopo.graded import GradedCohomology, kunneth_product, tensor_product_complex
 
 from helpers import gcd_of_k_minors
@@ -205,3 +206,32 @@ def test_dd_check_rejects_a_single_nonzero_entry(a, data):
     assert sum(1 for x in composite.entries if x) == 1
     with pytest.raises(NotAComplex):
         homology_of_complex([left, right])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lattice_quotient_matches_the_minors_of_the_coordinates(data):
+    k = data.draw(st.integers(1, 3))
+    n, m = data.draw(st.integers(k, 4)), data.draw(st.integers(0, 3))
+    span = IntMatrix(n, k, tuple(data.draw(st.lists(st.integers(-4, 4), min_size=n * k, max_size=n * k))))
+    assume(matrix_rank(span) == k)
+    coords = IntMatrix(k, m, tuple(data.draw(st.lists(st.integers(-6, 6), min_size=k * m, max_size=k * m))))
+    # the columns of span are a basis of L, so L / (span C) is Z^k / (C Z^m)
+    g = [1] + [gcd_of_k_minors(coords, i) for i in range(1, min(k, m) + 1)]
+    r = max(i for i, gi in enumerate(g) if gi)
+    want = FgAbGroup.from_divisors(*(g[i] // g[i - 1] for i in range(1, r + 1)), *[0] * (k - r))
+    assert lattice_quotient(span, span @ coords) == want
+
+
+def test_lattice_quotient_rejects_generators_outside_the_lattice():
+    even = IntMatrix.from_rows([[2, 0], [0, 2]])
+    assert lattice_quotient(even, IntMatrix.from_rows([[2], [2]])) == FgAbGroup.free(1)
+    with pytest.raises(NotASublattice):  # in the rational span, not in the lattice
+        lattice_quotient(even, IntMatrix.from_rows([[1], [0]]))
+    line = IntMatrix.from_rows([[2], [4]])
+    assert lattice_quotient(line, IntMatrix.from_rows([[6], [12]])) == FgAbGroup.cyclic(3)
+    for outside in ([[1], [0]], [[0], [1]]):  # outside the rational span
+        with pytest.raises(NotASublattice):
+            lattice_quotient(line, IntMatrix.from_rows(outside))
+    with pytest.raises(NotASublattice):
+        lattice_quotient(IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows([[0], [1]]))

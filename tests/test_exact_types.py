@@ -68,3 +68,43 @@ def test_json_readers_reject_inexact_numbers_with_value_error():
     with pytest.raises(ValueError):
         spec_from_json({"n": 2.5, "compact": True})
     assert spec_from_json({"n": "2", "compact": True}).n == 2
+
+
+def test_rational_class_rejects_float_and_bool_coordinates():
+    from fractions import Fraction
+
+    from modtopo.anomaly import RationalClass
+
+    with pytest.raises(TypeError):
+        RationalClass((0.1,))
+    with pytest.raises(TypeError):
+        RationalClass((Fraction(1, 2), True))
+    assert RationalClass((1, Fraction(1, 2))).coords == (1, Fraction(1, 2))
+
+
+def test_rational_strings_reject_float_and_bool_with_value_error():
+    from fractions import Fraction
+
+    from modtopo.anomaly import RationalClass
+
+    with pytest.raises(ValueError):
+        RationalClass.from_strings([0.1])
+    with pytest.raises(ValueError):
+        RationalClass.from_strings(["1/2", True])
+    assert RationalClass.from_strings(["1/2", 3]).coords == (Fraction(1, 2), 3)
+
+
+def test_json_readers_reject_misshapen_documents():
+    from modtopo.errors import InvalidInput
+    from modtopo.graded import GradedCohomology
+
+    for read, doc in [
+        (IntMatrix.from_json, [1, 2]),
+        (IntMatrix.from_json, {"rows": 1, "cols": 1, "entries": 7}),
+        (FgAbGroup.from_json, 5),
+        (FgAbGroup.from_json, {"rank": 0, "torsion": "24"}),
+        (GradedCohomology.from_json, {"top_degree": 0, "groups": {"rank": 1}}),
+        (GradedCohomology.from_json, {"top_degree": 0, "groups": [3]}),
+    ]:
+        with pytest.raises(InvalidInput):
+            read(doc)
