@@ -23,7 +23,9 @@ twisted K-theory path.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, prod
 from operator import mul
@@ -31,20 +33,25 @@ from operator import mul
 from .errors import DimensionMismatch, InvalidInput, NotAComplex, NotASublattice
 
 
+# Miller-Rabin on the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division; validates mod-p coefficient systems."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic Miller-Rabin for mod-p coefficients; InvalidInput from _MR_BOUND on."""
+    require_ints("a prime", n)
+    if n >= _MR_BOUND:
+        raise InvalidInput(f"primality of {n} is not decided above {_MR_BOUND}")
+    if n < 2 or n in _MR_BASES:
+        return n >= 2
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(
+        n % a and (pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s)))
+        for a in _MR_BASES
+    )
 
 
 def as_int(v) -> int:
@@ -209,8 +216,9 @@ class SnfResult:
     ``diagonal`` holds the min(rows, cols) diagonal entries: the invariant
     factors (each dividing the next) followed by zeros.  ``left`` and
     ``right`` are unimodular; ``left_inv`` and ``right_inv`` are their exact
-    inverses (so left_inv @ M @ right_inv is the diagonal matrix), kept
-    because integer linear solving needs them.
+    inverses (so left_inv @ M @ right_inv is the diagonal matrix).  All four
+    are replayed from the elimination's operation log; the lattice helpers
+    replay it onto only the vectors they read and build none of them.
     """
 
     diagonal: tuple[int, ...]
@@ -251,36 +259,47 @@ def _eye(n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
 
-def _eliminate(rows: list[dict[int, int]], ncols: int, transforms: bool = False):
+def _replay(ops, rows: list[list[int]]) -> list[list[int]]:
+    """Apply rows[k] -= q * rows[i] for each (k, i, q) of ``ops``, in order:
+    row k holds coordinate k of every vector being transformed."""
+    for k, i, q in ops:
+        rows[k] = [a - q * b for a, b in zip(rows[k], rows[i])]
+    return rows
+
+
+def _eliminate(rows: list[dict[int, int]], ncols: int):
     """Sparse Smith elimination: the one core behind every SNF caller.
 
     ``rows`` (consumed) holds the nonzero entries.  Each pivot is an entry
     of least absolute value, units first, with ties going to the least
     Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), which bounds
-    fill-in.  Row operations clear the pivot column; column operations then
-    clear the pivot row and touch no other working entry.  A remainder
-    smaller than the pivot becomes the next pivot (Euclid); so does one from
-    a row added to the pivot row when the pivot fails to divide it.  The
-    matrix ends as a scattered diagonal whose pivots, in order, already form
-    a divisibility chain.
+    fill-in, then to the least row.  Row operations clear the pivot column;
+    column operations then clear the pivot row and touch no other working
+    entry.  A remainder smaller than the pivot becomes the next pivot
+    (Euclid); so does one from a row added to the pivot row when the pivot
+    fails to divide it.  The matrix ends as a scattered diagonal whose
+    pivots, in order, already form a divisibility chain.
 
-    Returns the min(rows, cols) diagonal (units, chain, zeros) and, only when
-    ``transforms`` is set, (left_inv, left^T, right, right_inv^T) as dense
-    row lists, so that every update is one row operation.
+    Returns the min(rows, cols) diagonal (units, chain, zeros), the pivots
+    (row, column, signed pivot) and two operation logs, (k, i, q) for
+    row k -= q * row i and (l, j, q) for col l -= q * col j.  With U and V
+    the products of the row and column operations, U M V is the scattered
+    diagonal; callers replay the logs onto just the vectors they read.
     """
     nrows = len(rows)
     cols: list[set[int]] = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
         for j in row:
             cols[j].add(i)
-    tr = (_eye(nrows), _eye(nrows), _eye(ncols), _eye(ncols)) if transforms else None
-    li, lt, rr, rv = tr or ((),) * 4
+    rops: list[tuple[int, int, int]] = []
+    cops: list[tuple[int, int, int]] = []
 
     def row_sub(k: int, i: int, q: int) -> None:  # row k -= q * row i
         if q == 0:  # sparse rows never store a zero
             return
         rk = rows[k]
         dirty.add(k)
+        rops.append((k, i, q))
         for l, v in rows[i].items():
             w = rk.get(l)
             if w is None:
@@ -291,22 +310,26 @@ def _eliminate(rows: list[dict[int, int]], ncols: int, transforms: bool = False)
             else:
                 del rk[l]
                 cols[l].discard(k)
-        if tr:
-            li[k] = [a - q * b for a, b in zip(li[k], li[i])]
-            lt[i] = [a + q * b for a, b in zip(lt[i], lt[k])]
 
     def best_in(i: int) -> tuple[int, int, int]:  # (|v|, Markowitz cost, column)
         n = len(rows[i]) - 1
         return min((v if v > 0 else -v, n * (len(cols[j]) - 1), j) for j, v in rows[i].items())
 
-    # keys of rows untouched by a step may be stale; the chosen row is re-keyed
+    # keys of rows untouched by a step may be stale; the chosen row is re-keyed.
+    # The heap holds (keys[i], i) for each keyed row, and outdated entries.
     keys = {i: best_in(i) for i in range(nrows) if rows[i]}
+    heap = [(key, i) for i, key in keys.items()]
+    heapify(heap)
     pivots = []
     while keys:
-        i = min(keys, key=keys.__getitem__)
+        key, i = heap[0]
+        if keys.get(i) != key:
+            heappop(heap)
+            continue
         key = best_in(i)
         if key != keys[i]:
             keys[i] = key
+            heappush(heap, (key, i))
             continue
         j = key[2]
         dirty: set[int] = set()
@@ -325,9 +348,8 @@ def _eliminate(rows: list[dict[int, int]], ncols: int, transforms: bool = False)
             for l in [l for l in row if l != j]:
                 v = row[l]
                 q = (2 * v + p) // (2 * p)
-                if tr:  # col l -= q * col j
-                    rv[l] = [a - q * b for a, b in zip(rv[l], rv[j])]
-                    rr[j] = [a + q * b for a, b in zip(rr[j], rr[l])]
+                if q:
+                    cops.append((l, j, q))
                 if v != q * p:
                     row[l] = v - q * p
                     if stray is None or abs(row[l]) < abs(row[stray]):
@@ -352,20 +374,12 @@ def _eliminate(rows: list[dict[int, int]], ncols: int, transforms: bool = False)
         for k in dirty:
             if rows[k]:
                 keys[k] = best_in(k)
+                heappush(heap, (keys[k], k))
             else:
                 keys.pop(k, None)
 
     diag = tuple(abs(p) for _, _, p in pivots)
-    if tr:
-        for i, _, p in pivots:
-            if p < 0:
-                li[i] = [-a for a in li[i]]
-                lt[i] = [-a for a in lt[i]]
-        rperm = dict.fromkeys([*(i for i, _, _ in pivots), *range(nrows)])
-        cperm = dict.fromkeys([*(j for _, j, _ in pivots), *range(ncols)])
-        li[:], lt[:] = [li[i] for i in rperm], [lt[i] for i in rperm]
-        rr[:], rv[:] = [rr[j] for j in cperm], [rv[j] for j in cperm]
-    return diag + (0,) * (min(nrows, ncols) - len(diag)), tr
+    return diag + (0,) * (min(nrows, ncols) - len(diag)), pivots, rops, cops
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
@@ -376,13 +390,24 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     input as left @ diag @ right.  See :func:`_eliminate` for the pivot
     strategy; exactness is the contract.
     """
-    diag, (li, lt, rr, rv) = _eliminate(_sparse_rows(m), m.cols, transforms=True)
+    diag, pivots, rops, cops = _eliminate(_sparse_rows(m), m.cols)
+    # rows of left_inv, left^T, right and right_inv^T
+    li = _replay(rops, _eye(m.rows))
+    lt = _replay([(i, k, -q) for k, i, q in rops], _eye(m.rows))
+    rr = _replay([(j, l, -q) for l, j, q in cops], _eye(m.cols))
+    rv = _replay(cops, _eye(m.cols))
+    for i, _, p in pivots:
+        if p < 0:
+            li[i] = [-a for a in li[i]]
+            lt[i] = [-a for a in lt[i]]
+    rperm = dict.fromkeys([*(i for i, _, _ in pivots), *range(m.rows)])
+    cperm = dict.fromkeys([*(j for _, j, _ in pivots), *range(m.cols)])
     return SnfResult(
         diagonal=diag,
-        left=IntMatrix.from_rows(list(zip(*lt)), cols=m.rows),
-        right=IntMatrix.from_rows(rr, cols=m.cols),
-        left_inv=IntMatrix.from_rows(li, cols=m.rows),
-        right_inv=IntMatrix.from_rows(list(zip(*rv)), cols=m.cols),
+        left=IntMatrix.from_rows(list(zip(*(lt[i] for i in rperm))), cols=m.rows),
+        right=IntMatrix.from_rows([rr[j] for j in cperm], cols=m.cols),
+        left_inv=IntMatrix.from_rows([li[i] for i in rperm], cols=m.rows),
+        right_inv=IntMatrix.from_rows(list(zip(*(rv[j] for j in cperm))), cols=m.cols),
     )
 
 
@@ -392,36 +417,36 @@ def matrix_rank(m: IntMatrix) -> int:
 
 def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the integer solution lattice of M x = 0, as columns."""
-    s = smith_normal_form(m)  # the nonzero factors come first: columns past rank are free
-    rows = [row[s.rank :] for row in map(s.right_inv.row, range(m.cols))]
-    return IntMatrix.from_rows(rows, cols=m.cols - s.rank)
+    _, pivots, _, cops = _eliminate(_sparse_rows(m), m.cols)
+    # V e_f for the non-pivot columns f: the column operations, last first
+    free = sorted({*range(m.cols)} - {j for _, j, _ in pivots})
+    units = [[int(c == f) for f in free] for c in range(m.cols)]
+    basis = _replay([(j, l, q) for l, j, q in reversed(cops)], units)
+    return IntMatrix.from_rows(basis, cols=len(free))
 
 
 def image_lattice_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the lattice spanned by the columns of M, as columns."""
-    s = smith_normal_form(m)
-    cols = [j for j, d in enumerate(s.diagonal) if d != 0]
-    rows = [[s.diagonal[j] * row[j] for j in cols] for row in map(s.left.row, range(m.rows))]
-    return IntMatrix.from_rows(rows, cols=len(cols))
+    _, pivots, rops, _ = _eliminate(_sparse_rows(m), m.cols)
+    # U^-1 (p e_i) for the pivots (i, j, p): the inverse row operations, last first
+    scaled = [[p if r == i else 0 for i, _, p in pivots] for r in range(m.rows)]
+    basis = _replay([(k, i, -q) for k, i, q in reversed(rops)], scaled)
+    return IntMatrix.from_rows(basis, cols=len(pivots))
 
 
 def solve_integer(m: IntMatrix, b: list[int] | tuple[int, ...]) -> list[int] | None:
     """One integer solution x of M x = b, or None if none exists."""
     if len(b) != m.rows:
         raise DimensionMismatch(f"vector length {len(b)} != rows {m.rows}")
-    s = smith_normal_form(m)
-    y = s.left_inv.apply(list(b))
-    z = [0] * m.cols
-    for i, yi in enumerate(y):
-        d = s.diagonal[i] if i < len(s.diagonal) else 0
-        if d == 0:
-            if yi != 0:
-                return None
-        else:
-            if yi % d:
-                return None
-            z[i] = yi // d
-    return s.right_inv.apply(z)
+    _, pivots, rops, cops = _eliminate(_sparse_rows(m), m.cols)
+    # U M V is the scattered diagonal D, so x = V z with D z = U b
+    y = [v for v, in _replay(rops, [[v] for v in b])]
+    z = [[0] for _ in range(m.cols)]
+    for i, j, p in pivots:
+        z[j][0], y[i] = divmod(y[i], p)
+    if any(y):  # a remainder, or U b off the pivot rows
+        return None
+    return [v for v, in _replay([(j, l, q) for l, j, q in reversed(cops)], z)]
 
 
 def lattice_quotient(span_gens: IntMatrix, sub_gens: IntMatrix) -> "FgAbGroup":
@@ -433,28 +458,44 @@ def lattice_quotient(span_gens: IntMatrix, sub_gens: IntMatrix) -> "FgAbGroup":
     """
     if span_gens.rows != sub_gens.rows:
         raise DimensionMismatch("lattice generators live in different ambient ranks")
-    diag, (li, _, _, _) = _eliminate(_sparse_rows(span_gens), span_gens.cols, transforms=True)
-    r = sum(1 for d in diag if d)
+    _, pivots, rops, _ = _eliminate(_sparse_rows(span_gens), span_gens.cols)
+    r = len(pivots)
     if r == 0:
         if not sub_gens.is_zero():
             raise NotASublattice("sub-lattice generators outside the zero lattice")
         return FgAbGroup.trivial()
-    # L has the basis d_i * (column i of left), i < r, so b = left * y with
-    # y = left_inv * b lies in L exactly when y_i = 0 past r and d_i | y_i
-    rows: list[dict[int, int]] = [{} for _ in range(r)]
-    for j in range(sub_gens.cols):
-        b = sub_gens.column(j)
-        y = [sum(map(mul, row, b)) for row in li]
-        if any(y[r:]) or any(yi % d for yi, d in zip(y, diag[:r])):
-            raise NotASublattice("generator not contained in the ambient lattice")
-        for i in range(r):
-            if y[i]:
-                rows[i][j] = y[i] // diag[i]
+    # L has the basis U^-1 (p * e_i) over the pivots (i, j, p), so b lies in
+    # L exactly when U b vanishes off the pivot rows and p | (U b)_i
+    y = _replay(rops, [list(sub_gens.row(k)) for k in range(sub_gens.rows)])
+    rows: list[dict[int, int]] = []
+    for i, _, p in pivots:
+        rows.append({j: v // p for j, v in enumerate(y[i]) if v})
+        y[i] = [v % p for v in y[i]]
+    if any(map(any, y)):
+        raise NotASublattice("generator not contained in the ambient lattice")
     return _cokernel(r, _eliminate(rows, sub_gens.cols)[0])
 
 
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
+
+
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime b > 1 whose powers multiply to each value (> 1): two
+    with gcd g > 1 split into g and the cofactors, so the product falls."""
+    base: list[int] = []
+    todo = list(values)
+    while todo:
+        x = todo.pop()
+        for n, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[n]
+                todo += [t for t in (g, x // g, b // g) if t > 1]
+                break
+        else:
+            base.append(x)
+    return base
 
 
 @dataclass(frozen=True)
@@ -504,8 +545,8 @@ class FgAbGroup:
         """Canonicalize (+) Z/d over the given orders.
 
         Zeros become free summands, units are dropped, signs are ignored,
-        and the remaining torsion is merged into a divisibility chain by
-        repeated (gcd, lcm) exchanges (the Chinese-remainder shuffle).
+        and the remaining torsion is merged into a divisibility chain in
+        one pass over a coprime base of the orders (see :meth:`_canonical`).
         """
         if not {*map(type, divisors)} <= {int}:
             raise TypeError("divisors must be int (not bool or float)")
@@ -513,19 +554,24 @@ class FgAbGroup:
 
     @classmethod
     def _canonical(cls, rank: int, orders) -> "FgAbGroup":
-        """Z^rank plus the cyclic groups of the given positive orders."""
-        tors = [d for d in orders if d > 1]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(tors)):
-                for j in range(i + 1, len(tors)):
-                    a, b = tors[i], tors[j]
-                    if b % a:
-                        g = gcd(a, b)
-                        tors[i], tors[j] = g, a // g * b
-                        changed = True
-        return cls(rank, tuple(t for t in tors if t > 1))
+        """Z^rank plus the cyclic groups of the given positive orders: the
+        k-th largest invariant factor takes each b of a coprime base of the
+        orders to its k-th largest exponent among them.  Nothing is factored."""
+        counts = Counter(d for d in orders if d > 1)
+        tors: list[int] = []  # largest first
+        for b in _coprime_base(counts):
+            exps = []
+            for d, c in counts.items():
+                e = 0
+                while d % b == 0:
+                    d //= b
+                    e += 1
+                if e:
+                    exps += [e] * c
+            exps.sort(reverse=True)
+            tors += [1] * (len(exps) - len(tors))
+            tors[: len(exps)] = [t * b**e for t, e in zip(tors, exps)]
+        return cls(rank, tuple(reversed(tors)))
 
     # -- structure -----------------------------------------------------
 

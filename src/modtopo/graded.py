@@ -116,14 +116,6 @@ class CoefficientSpec:
         raise ValueError("rational coefficients have no finitely generated model")
 
 
-def _sum_groups(parts: list[FgAbGroup]) -> FgAbGroup:
-    divs: list[int] = []
-    for g in parts:
-        divs += [0] * g.rank
-        divs += list(g.invariant_factors)
-    return FgAbGroup.from_divisors(*divs)
-
-
 def kunneth_product(x: GradedCohomology, y: GradedCohomology) -> GradedCohomology:
     """Graded groups of a product space from the groups of its factors.
 
@@ -140,7 +132,8 @@ def kunneth_product(x: GradedCohomology, y: GradedCohomology) -> GradedCohomolog
     for k in range(top + 2):
         parts = [x.group_at(p).tensor(y.group_at(k - p)) for p in range(k + 1)]
         parts += [x.group_at(p).tor(y.group_at(k - 1 - p)) for p in range(k)]
-        out.append(_sum_groups(parts))
+        tors = [d for g in parts for d in g.invariant_factors]
+        out.append(FgAbGroup._canonical(sum(g.rank for g in parts), tors))
     if out[-1].is_trivial:
         out.pop()
     label = ""

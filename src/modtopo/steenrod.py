@@ -539,8 +539,8 @@ class RingElement:
         if n < 0:
             raise ValueError("negative powers are not defined")
         out = self.pres.unit()
-        for _ in range(n):
-            out = out * self
+        for bit in bin(n)[2:]:  # square and multiply: a prime exponent can have 80 bits
+            out = out * out * self if bit == "1" else out * out
         return out
 
     def __eq__(self, other):

@@ -4,10 +4,16 @@ SNF results are checked against the gcd-of-minors oracle and by exact
 reconstruction; homology of scrambled tensor-product complexes is checked
 against the Kunneth formula on the factors; the sparse d o d check is
 probed on composites with a single nonzero entry and on composites whose
-terms cancel.
+terms cancel.  The lattice helpers, which replay the elimination's
+operation log onto just the vectors they read, are checked entry for
+entry against the same formulas evaluated on the full SNF transforms.
+Torsion canonicalization and the primality test get oracles of their own.
 """
 
+import json
 import random
+import signal
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,12 +24,16 @@ from modtopo.abgroup import (
     IntMatrix,
     determinant,
     homology_of_complex,
+    image_lattice_basis,
     integer_kernel_basis,
+    is_prime,
     lattice_quotient,
     matrix_rank,
     smith_normal_form,
+    solve_integer,
 )
-from modtopo.errors import NotAComplex, NotASublattice
+from modtopo.cli import run
+from modtopo.errors import InvalidInput, NotAComplex, NotASublattice
 from modtopo.graded import GradedCohomology, kunneth_product, tensor_product_complex
 
 from helpers import gcd_of_k_minors
@@ -235,3 +245,206 @@ def test_lattice_quotient_rejects_generators_outside_the_lattice():
             lattice_quotient(line, IntMatrix.from_rows(outside))
     with pytest.raises(NotASublattice):
         lattice_quotient(IntMatrix.from_rows([[1], [0]]), IntMatrix.from_rows([[0], [1]]))
+
+
+# -- lattice helpers against formulas on the full SNF transforms ------------
+
+
+def kernel_from_snf(m):
+    s = smith_normal_form(m)
+    rows = [row[s.rank :] for row in map(s.right_inv.row, range(m.cols))]
+    return IntMatrix.from_rows(rows, cols=m.cols - s.rank)
+
+
+def image_from_snf(m):
+    s = smith_normal_form(m)
+    cols = [j for j, d in enumerate(s.diagonal) if d != 0]
+    rows = [[s.diagonal[j] * row[j] for j in cols] for row in map(s.left.row, range(m.rows))]
+    return IntMatrix.from_rows(rows, cols=len(cols))
+
+
+def solve_from_snf(m, b):
+    s = smith_normal_form(m)
+    y = s.left_inv.apply(list(b))
+    z = [0] * m.cols
+    for i, yi in enumerate(y):
+        d = s.diagonal[i] if i < len(s.diagonal) else 0
+        if (yi if d == 0 else yi % d) != 0:
+            return None
+        if d:
+            z[i] = yi // d
+    return s.right_inv.apply(z)
+
+
+def quotient_from_snf(span, sub):
+    s = smith_normal_form(span)
+    r = s.rank
+    if r == 0:
+        if not sub.is_zero():
+            raise NotASublattice("sub-lattice generators outside the zero lattice")
+        return FgAbGroup.trivial()
+    coords = []
+    for j in range(sub.cols):
+        y = s.left_inv.apply(sub.column(j))
+        if any(y[r:]) or any(yi % d for yi, d in zip(y, s.diagonal[:r])):
+            raise NotASublattice("generator not contained in the ambient lattice")
+        coords.append([yi // d for yi, d in zip(y, s.diagonal[:r])])
+    rows = [list(row) for row in zip(*coords)] if coords else [[] for _ in range(r)]
+    return smith_normal_form(IntMatrix.from_rows(rows, cols=sub.cols)).cokernel()
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except NotASublattice as exc:
+        return ("NotASublattice", str(exc))
+
+
+def sized(values, r, c):
+    return st.lists(values, min_size=r * c, max_size=r * c).map(lambda e: IntMatrix(r, c, tuple(e)))
+
+
+@st.composite
+def lattice_cases(draw):
+    """A matrix (possibly 0 x n, n x 0 or rank-deficient), a right-hand side
+    in its image or at random, and sub-lattice generators inside its
+    column lattice or at random (then mostly outside it)."""
+    values = draw(st.sampled_from([SPARSE_UNITS, st.integers(-9, 9), st.integers(-300, 300)]))
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(r, c)))
+        m = draw(sized(values, r, k)) @ draw(sized(values, k, c))
+    else:
+        m = draw(sized(values, r, c))
+    x = draw(st.lists(st.integers(-3, 3), min_size=c, max_size=c))
+    b = m.apply(x) if draw(st.booleans()) else draw(st.lists(st.integers(-5, 5), min_size=r, max_size=r))
+    w = draw(st.integers(0, 3))
+    sub = m @ draw(sized(st.integers(-4, 4), c, w)) if draw(st.booleans()) else draw(sized(st.integers(-4, 4), r, w))
+    return m, b, sub
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_cases())
+def test_replayed_lattice_helpers_match_the_full_transforms(case):
+    m, b, sub = case
+    assert integer_kernel_basis(m) == kernel_from_snf(m)
+    assert image_lattice_basis(m) == image_from_snf(m)
+    assert solve_integer(m, b) == solve_from_snf(m, b)
+    assert outcome(lattice_quotient, m, sub) == outcome(quotient_from_snf, m, sub)
+
+
+def test_replayed_lattice_helpers_on_negative_pivots():
+    # every pivot is negative, and Euclid steps leave signed remainders
+    for rows in ([[-2, 0], [0, -4]], [[-3, -5], [-7, -11]], [[-6, 4, -10], [4, -6, 8]]):
+        a = IntMatrix.from_rows(rows)
+        assert integer_kernel_basis(a) == kernel_from_snf(a)
+        assert image_lattice_basis(a) == image_from_snf(a)
+        for b in ([0] * a.rows, [a.at(i, 0) for i in range(a.rows)], [1] + [0] * (a.rows - 1)):
+            assert solve_integer(a, b) == solve_from_snf(a, b)
+        for sub in (a, IntMatrix(a.rows, 1, (1,) + (0,) * (a.rows - 1))):
+            assert outcome(lattice_quotient, a, sub) == outcome(quotient_from_snf, a, sub)
+
+
+# -- torsion canonicalization ------------------------------------------------
+
+
+def pairwise_exchange(orders):
+    """Invariant factors by repeated (gcd, lcm) exchanges until each divides the next."""
+    tors = [d for d in orders if d > 1]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(tors)):
+            for j in range(i + 1, len(tors)):
+                a, b = tors[i], tors[j]
+                if b % a:
+                    g = gcd(a, b)
+                    tors[i], tors[j] = g, a // g * b
+                    changed = True
+    return tuple(t for t in tors if t > 1)
+
+
+BIG = 2**89 - 1  # a prime: orders are never factored, so size must not matter
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.lists(
+        st.builds(
+            lambda a, b, c, e: 2**a * 3**b * 35**c * BIG**e,
+            st.integers(0, 4), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
+        )
+        | st.integers(1, 400),
+        max_size=12,
+    ),
+)
+def test_canonical_matches_pairwise_exchange(rank, orders):
+    g = FgAbGroup._canonical(rank, orders)
+    assert g == FgAbGroup(rank, pairwise_exchange(orders))
+    assert g == FgAbGroup.from_divisors(*orders, *[0] * rank)
+
+
+def test_large_tensor_is_one_merge():
+    # (Z^r + Z/2) (x) (Z^r + Z/3): r copies each of Z/2 and Z/3 merge into Z/6
+    g = FgAbGroup(4000, (2,)).tensor(FgAbGroup(4000, (3,)))
+    assert g == FgAbGroup(4000 * 4000, (6,) * 4000)
+
+
+# -- primality ----------------------------------------------------------------
+
+
+def trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 20000) if is_prime(n)] == [n for n in range(-3, 20000) if trial_division(n)]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2; 2, 3, 5, 7; 2..31; and 2..37, the
+    # last (399165290221 * 798330580441) caught only by the 13th base, 41
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+
+
+def test_is_prime_is_fast_on_a_61_bit_prime():
+    def timeout(signum, frame):
+        raise TimeoutError("is_prime(2**61 - 1) took over 2 s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(2)
+    try:
+        assert is_prime(2**61 - 1)
+        assert not is_prime((2**61 - 1) * 1_000_003)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_is_prime_refuses_above_the_proven_bound():
+    assert not is_prime(3_317_044_064_679_887_385_961_979)  # odd, below the bound
+    with pytest.raises(InvalidInput):
+        is_prime(3_317_044_064_679_887_385_961_981)
+
+
+def test_is_prime_takes_only_ints():
+    for n in (43.0, 7.0, True):
+        with pytest.raises(TypeError):
+            is_prime(n)
+
+
+def steenrod_doc(tmp_path, p):
+    path = tmp_path / "in.json"
+    doc = {"presentation": {"p": p, "generators": [{"name": "x", "degree": 2}]}, "verify_to_degree": 2}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_steenrod_with_a_61_bit_prime(capsys, tmp_path):
+    assert run(["steenrod", "--json", steenrod_doc(tmp_path, 2**61 - 1)]) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == []
+    # the least prime above the bound where 13 Miller-Rabin bases are proven
+    assert run(["steenrod", "--json", steenrod_doc(tmp_path, 3_317_044_064_679_887_385_962_123)]) == 1
+    assert "INVALID_INPUT" in capsys.readouterr().err
