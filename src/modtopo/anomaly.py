@@ -29,14 +29,7 @@ from fractions import Fraction
 
 from .abgroup import FgAbGroup, IntMatrix, as_int, json_shape, require_ints
 from .errors import AmbientMismatch, InvalidInput, LengthMismatch, ShapeMismatch
-from .hilbert import (
-    CompactHilbertSpec,
-    CuspidalHilbertSpec,
-    HilbertSpec,
-    compact_betti,
-    cuspidal_betti,
-    hodge_slice,
-)
+from .hilbert import CompactHilbertSpec, HilbertSpec, betti_total, hodge_slice
 
 
 @dataclass(frozen=True)
@@ -278,8 +271,8 @@ _TORSION_NOTE = "torsion in H^3 is undetermined by the rank-only tables"
 def hilbert_anomaly_report(spec: HilbertSpec) -> HilbertAnomalyReport:
     """What the closed forms say about the restriction class in degree 3."""
     n = spec.n
+    rank = betti_total(spec, 3) if 2 * n >= 3 else 0
     if isinstance(spec, CompactHilbertSpec):
-        rank = compact_betti(spec, 3) if 2 * n >= 3 else 0
         if rank == 0:
             verdict = f"free part of [H]|_X trivial; {_TORSION_NOTE}"
         else:
@@ -289,7 +282,6 @@ def hilbert_anomaly_report(spec: HilbertSpec) -> HilbertAnomalyReport:
             )
         return HilbertAnomalyReport(rank, None, verdict)
 
-    rank = cuspidal_betti(spec, 3).total if 2 * n >= 3 else 0
     if n == 3:
         cusp = {
             (p, q): v

@@ -188,7 +188,8 @@ def _cmd_anomaly(args) -> dict:
 
 
 def _cmd_steenrod(args) -> dict:
-    from .steenrod import ModPRingPresentation, axiom_report, bockstein, sq, st, w3_from_w2
+    from .steenrod import ModPRingPresentation, axiom_report, bockstein, parse_op_label
+    from .steenrod import sq, st, w3_from_w2
 
     doc = _load_doc(args)
     pres = ModPRingPresentation.from_json(doc["presentation"])
@@ -201,15 +202,11 @@ def _cmd_steenrod(args) -> dict:
         }
     ev = json_shape(doc["evaluate"], dict, "the evaluation")
     x = pres.element(ModPRingPresentation.poly_from_json(ev["element"]))
-    label = ev["op"]
-    if label == "beta":
-        out = bockstein(x)
-    elif label == "w3_from_w2":
+    if ev["op"] == "w3_from_w2":
         out = w3_from_w2(x)
-    elif isinstance(label, str) and label[:2].lower() in ("sq", "st"):
-        out = (sq if label[:2].lower() == "sq" else st)(int(label[2:]), x)
     else:
-        raise _Usage(f"unknown operation {label!r}")
+        kind, k = parse_op_label(ev["op"])
+        out = bockstein(x) if kind == "beta" else (sq if kind == "sq" else st)(k, x)
     return {
         "value": pres.poly_to_json(out.poly),
         "rendered": str(out),

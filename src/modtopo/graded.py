@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abgroup import FgAbGroup, IntMatrix, as_int, is_prime, json_shape
+from .abgroup import FgAbGroup, IntMatrix, as_int, is_prime, json_shape, require_ints
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,9 @@ class BettiTable:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        values = tuple(self.values)
+        require_ints("Betti numbers", *values)
+        object.__setattr__(self, "values", values)
 
     def to_json(self) -> list[int]:
         return list(self.values)
@@ -152,10 +154,14 @@ def euler_characteristic(x: GradedCohomology) -> int:
     return sum((-1) ** m * g.rank for m, g in enumerate(x.groups))
 
 
-def _at(groups: list[FgAbGroup], m: int) -> FgAbGroup:
-    if 0 <= m < len(groups):
-        return groups[m]
-    return FgAbGroup.trivial()
+def _change_coefficients(h_integral, coefficients, first, second) -> list[FgAbGroup]:
+    """first(H_m, G)  (+)  second(H_(m-1), G) for m = 0..len(h_integral)."""
+    h = list(h_integral)
+    if coefficients.kind == "rationals":
+        return [FgAbGroup.free(g.rank) for g in h] + [FgAbGroup.trivial()]
+    g = coefficients.as_group()
+    zero = FgAbGroup.trivial()
+    return [first(a, g).direct_sum(second(b, g)) for a, b in zip(h + [zero], [zero] + h)]
 
 
 def homology_with_coefficients(
@@ -167,14 +173,7 @@ def homology_with_coefficients(
     reach one degree above the top.  With rational coefficients only the
     ranks survive (returned as free groups).
     """
-    h = list(h_integral)
-    if coefficients.kind == "rationals":
-        return [FgAbGroup.free(g.rank) for g in h] + [FgAbGroup.trivial()]
-    g = coefficients.as_group()
-    return [
-        _at(h, m).tensor(g).direct_sum(_at(h, m - 1).tor(g))
-        for m in range(len(h) + 1)
-    ]
+    return _change_coefficients(h_integral, coefficients, FgAbGroup.tensor, FgAbGroup.tor)
 
 
 def cohomology_with_coefficients(
@@ -186,14 +185,7 @@ def cohomology_with_coefficients(
     rational coefficients the degree-m rank equals the rank of H_m, which
     is the fact that lets rank arguments conclude vanishing of free parts.
     """
-    h = list(h_integral)
-    if coefficients.kind == "rationals":
-        return [FgAbGroup.free(g.rank) for g in h] + [FgAbGroup.trivial()]
-    g = coefficients.as_group()
-    return [
-        _at(h, m).hom(g).direct_sum(_at(h, m - 1).ext(g))
-        for m in range(len(h) + 1)
-    ]
+    return _change_coefficients(h_integral, coefficients, FgAbGroup.hom, FgAbGroup.ext)
 
 
 def tensor_product_complex(

@@ -28,12 +28,12 @@ degree range would omit it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from .abgroup import FgAbGroup, as_int, json_shape, require_ints
-from .errors import DegreeOutOfRange
+from .errors import DegreeOutOfRange, InvalidInput
 from .graded import GradedCohomology
 
 BOUNDARY_DEGREE_ZEROED = "BOUNDARY_DEGREE_ZEROED"
@@ -61,6 +61,11 @@ class CompactHilbertSpec:
         if self.dim_weight2 < 0:
             raise ValueError("form space dimension must be nonnegative")
 
+    def dims_by_cardinality(self, size: int) -> int:
+        """The form mass of the subsets of cardinality ``size``: every one
+        of the C(n, size) subsets carries dim_weight2."""
+        return _binom(self.n, size) * self.dim_weight2
+
     def to_json(self) -> dict:
         return {"n": self.n, "compact": True, "dim_weight2": self.dim_weight2}
 
@@ -69,18 +74,31 @@ class CompactHilbertSpec:
         return cls(as_int(doc["n"]), as_int(doc.get("dim_weight2", 0)))
 
 
+MAX_CUSP_TABLE_N = 20
+
+
+def _subsets(n: int) -> range:
+    """The bitmasks of the subsets of {1..n}.  A cusp table has one entry
+    per subset, so n is capped before any table is built."""
+    if n > MAX_CUSP_TABLE_N:
+        raise InvalidInput(f"cusp tables cover 2^n subsets; n = {n} exceeds {MAX_CUSP_TABLE_N}")
+    return range(2**n)
+
+
 @dataclass(frozen=True)
 class CuspidalHilbertSpec:
     """Congruence quotient with cusps.
 
     ``num_cusps`` is the cusp number h; ``cusp_dims`` assigns to every
     subset b of {1..n} (encoded as a bitmask 0..2^n-1) the dimension of
-    the associated weight-(2,...,2) cusp form space.
+    the associated weight-(2,...,2) cusp form space.  The formulas read
+    only its sums by cardinality #b, which are folded once here.
     """
 
     n: int
     num_cusps: int
     cusp_dims: dict[int, int]
+    _by_size: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = dict(self.cusp_dims)
@@ -89,30 +107,34 @@ class CuspidalHilbertSpec:
             raise ValueError("need at least one half-plane factor")
         if self.num_cusps < 1:
             raise ValueError("a congruence quotient has at least one cusp")
-        want = set(range(2**self.n))
-        if set(dims) != want:
+        subsets = _subsets(self.n)
+        if len(dims) != len(subsets) or any(b not in subsets for b in dims):
             raise ValueError(f"cusp_dims must cover all {2**self.n} subsets of {{1..{self.n}}}")
         if any(v < 0 for v in dims.values()):
             raise ValueError("cusp form dimensions must be nonnegative")
+        by_size = [0] * (self.n + 1)
+        for b, v in dims.items():
+            by_size[b.bit_count()] += v
         object.__setattr__(self, "cusp_dims", dims)
+        object.__setattr__(self, "_by_size", tuple(by_size))
 
     @classmethod
     def uniform(cls, n: int, num_cusps: int, dim: int) -> "CuspidalHilbertSpec":
-        return cls(n, num_cusps, {b: dim for b in range(2**n)})
+        return cls(n, num_cusps, dict.fromkeys(_subsets(n), dim))
 
     @classmethod
     def by_cardinality(
         cls, n: int, num_cusps: int, dims: dict[int, int]
     ) -> "CuspidalHilbertSpec":
         """Fill cusp_dims from a per-cardinality table {#b: dim}."""
-        table = {b: dims.get(bin(b).count("1"), 0) for b in range(2**n)}
+        table = {b: dims.get(b.bit_count(), 0) for b in _subsets(n)}
         return cls(n, num_cusps, table)
 
     def dims_by_cardinality(self, size: int) -> int:
-        return sum(v for b, v in self.cusp_dims.items() if bin(b).count("1") == size)
+        return self._by_size[size] if 0 <= size <= self.n else 0
 
     def total_cusp_dim(self) -> int:
-        return sum(self.cusp_dims.values())
+        return sum(self._by_size)
 
     def to_json(self) -> dict:
         return {
@@ -275,10 +297,12 @@ def hodge_slice(spec: HilbertSpec, m: int) -> HodgeSlice:
         if u:
             entries[(m // 2, m // 2, "univ")] = u
 
+    if m == n:
+        for q in range(n + 1):
+            v = spec.dims_by_cardinality(q)
+            if v:
+                entries[(n - q, q, "cusp")] = v
     if isinstance(spec, CompactHilbertSpec):
-        if m == n and spec.dim_weight2:
-            for q in range(n + 1):
-                entries[(n - q, q, "cusp")] = _binom(n, q) * spec.dim_weight2
         return HodgeSlice(m, entries)
 
     eis = _eis_betti(n, spec.num_cusps, m)
@@ -286,11 +310,6 @@ def hodge_slice(spec: HilbertSpec, m: int) -> HodgeSlice:
         entries[(n, n, "eis")] = eis
         if m == n:
             flags.append(EIS_INCLUDED_AT_MIDDLE_DEGREE)
-    if m == n:
-        for q in range(n + 1):
-            v = spec.dims_by_cardinality(q)
-            if v:
-                entries[(n - q, q, "cusp")] = entries.get((n - q, q, "cusp"), 0) + v
     if m in (0, 2 * n):
         if entries:
             flags.append(BOUNDARY_DEGREE_ZEROED)
@@ -322,14 +341,7 @@ def hodge_filtration_dims(spec: HilbertSpec, m: int, p: int) -> FiltrationDims:
     univ = univ_total if 2 * p <= m else 0
     cusp = 0
     if m == n:
-        if isinstance(spec, CompactHilbertSpec):
-            cusp = sum(
-                _binom(n, n - pp) * spec.dim_weight2 for pp in range(max(p, 0), n + 1)
-            )
-        else:
-            cusp = sum(
-                spec.dims_by_cardinality(n - pp) for pp in range(max(p, 0), n + 1)
-            )
+        cusp = sum(spec.dims_by_cardinality(n - pp) for pp in range(max(p, 0), n + 1))
     return FiltrationDims(univ, cusp)
 
 
@@ -340,9 +352,8 @@ def variety_cohomology(spec: HilbertSpec) -> GradedCohomology:
     reported as absent.
     """
     if isinstance(spec, CompactHilbertSpec):
-        ranks = [compact_betti(spec, m) for m in range(2 * spec.n + 1)]
         label = f"compact Hilbert variety n={spec.n}"
     else:
-        ranks = [cuspidal_betti(spec, m).total for m in range(2 * spec.n + 1)]
         label = f"cuspidal Hilbert variety n={spec.n} h={spec.num_cusps}"
+    ranks = [betti_total(spec, m) for m in range(2 * spec.n + 1)]
     return GradedCohomology(tuple(FgAbGroup.free(r) for r in ranks), label)

@@ -36,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 from operator import add, le, mul, sub
 
-from .abgroup import as_int, is_prime, json_shape
+from .abgroup import as_int, is_prime, json_shape, require_ints
 from .errors import (
     Inhomogeneous,
     NotModTwo,
@@ -83,7 +83,8 @@ class ModPRingPresentation:
             raise ValueError(f"{p} is not prime")
         self.p = int(p)
         names = [str(n) for n, _ in generators]
-        degrees = [int(d) for _, d in generators]
+        degrees = [d for _, d in generators]
+        require_ints("generator degrees", *degrees)
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
         if any(d < 1 for d in degrees):
@@ -125,24 +126,26 @@ class ModPRingPresentation:
             raise NotOddPrime("St entries require an odd prime")
         if kind == "beta":
             k = 1
-        if int(k) < 1:
+        require_ints("the operation index", k)
+        if k < 1:
             raise ValueError("operation index must be >= 1 in the table")
         if name not in self._index:
             raise ValueError(f"unknown generator {name!r}")
-        return (kind, int(k), self._index[name])
+        return (kind, k, self._index[name])
 
     def _compile(self, raw) -> Poly:
         if raw in (0, "0", None):
             return {}
         poly: Poly = {}
         for coeff, powers in raw:
+            require_ints("coefficients and exponents", coeff, *powers.values())
             exps = [0] * len(self.names)
             for name, e in powers.items():
-                exps[self._index[name]] += int(e)
+                exps[self._index[name]] += e
             if any(exps[i] >= 2 for i in self._odd):
                 continue  # odd-degree generators square to zero
             mono = tuple(exps)
-            poly[mono] = (poly.get(mono, 0) + int(coeff)) % self.p
+            poly[mono] = (poly.get(mono, 0) + coeff) % self.p
         return {m: c for m, c in poly.items() if c}
 
     def _deglex(self, mono: Mono) -> tuple:
@@ -457,17 +460,21 @@ class ModPRingPresentation:
         ops = {}
         for entry in json_shape(doc.get("ops", ()), list, "operation values"):
             json_shape(entry, dict, "an operation value")
-            label, gen = entry["op"], entry["gen"]
+            gen = entry["gen"]
             if not isinstance(gen, str):
                 raise ValueError(f"unknown generator {gen!r}")
-            if label == "beta":
-                key = ("beta", gen)
-            elif isinstance(label, str) and label[:2].lower() in ("sq", "st"):
-                key = (label[:2].lower(), int(label[2:]), gen)
-            else:
-                raise ValueError(f"unknown operation label {label!r}")
-            ops[key] = cls.poly_from_json(entry["value"])
+            ops[(*parse_op_label(entry["op"]), gen)] = cls.poly_from_json(entry["value"])
         return cls(as_int(doc["p"]), gens, rels, ops)
+
+
+def parse_op_label(label) -> tuple[str, int]:
+    """("beta", 1) for "beta", and ("sq", k) or ("st", k) for "Sq<k>" or
+    "St<k>" in any case; ValueError on any other label."""
+    if label == "beta":
+        return ("beta", 1)
+    if isinstance(label, str) and label[:2].lower() in ("sq", "st"):
+        return (label[:2].lower(), int(label[2:]))
+    raise ValueError(f"unknown operation label {label!r}")
 
 
 class RingElement:
@@ -563,17 +570,20 @@ class RingElement:
 # Operations
 
 
-def _homogeneous_or_raise(x: RingElement) -> None:
-    if not x.is_homogeneous:
-        raise Inhomogeneous(f"{x} is not homogeneous")
+def _apply(pres: ModPRingPresentation, k: int | None, poly: Poly) -> Poly:
+    """The operation of index k, or the Bockstein for k = None, on a
+    polynomial, which must be homogeneous."""
+    if len({pres.mono_degree(m) for m in poly}) > 1:
+        raise Inhomogeneous(f"{pres.poly_str(poly)} is not homogeneous")
+    if k is None:
+        return pres._linear(poly, pres.beta_mono)
+    return pres._linear(poly, lambda m: pres.op_mono(k, m))
 
 
 def _power_op(k: int, x: RingElement) -> RingElement:
     if k < 0:
         raise ValueError("operation index must be nonnegative")
-    _homogeneous_or_raise(x)
-    pres = x.pres
-    return RingElement(pres, pres._linear(x.poly, lambda m: pres.op_mono(k, m)))
+    return RingElement(x.pres, _apply(x.pres, k, x.poly))
 
 
 def sq(k: int, x: RingElement) -> RingElement:
@@ -592,10 +602,7 @@ def st(k: int, x: RingElement) -> RingElement:
 
 def bockstein(x: RingElement) -> RingElement:
     """Degree-raising Bockstein: Sq^1 at p = 2, Leibniz extension otherwise."""
-    _homogeneous_or_raise(x)
-    if x.pres.p == 2:
-        return sq(1, x)
-    return RingElement(x.pres, x.pres._linear(x.poly, x.pres.beta_mono))
+    return RingElement(x.pres, _apply(x.pres, 1 if x.pres.p == 2 else None, x.poly))
 
 
 def w3_from_w2(w2: RingElement) -> RingElement:
@@ -698,39 +705,7 @@ def _check_confluence(
             )
 
 
-class _Values:
-    """Operation values on monomials, each evaluated once per sweep.
-
-    ``get(k, m)`` is the operation of index k on m, or the Bockstein for
-    k = None.  A value that raised is kept as a marker, its exception
-    class, and every later lookup raises a fresh instance of it.
-    """
-
-    def __init__(self, pres: ModPRingPresentation):
-        self.pres = pres
-        self.table: dict = {}
-
-    def get(self, k, mono: Mono) -> Poly:
-        key = (k, mono)
-        value = self.table.get(key)
-        if value is None:
-            pres = self.pres
-            try:
-                value = pres.beta_mono(mono) if k is None else pres.op_mono(k, mono)
-            except (Undetermined, Inhomogeneous) as exc:
-                value = type(exc)
-            self.table[key] = value
-        if type(value) is not dict:
-            raise value("evaluated earlier in this sweep")
-        return value
-
-    def apply(self, k, poly: Poly) -> Poly:
-        """The operation on a polynomial, which must be homogeneous."""
-        _homogeneous_or_raise(RingElement(self.pres, poly))
-        return self.pres._linear(poly, lambda m: self.get(k, m))
-
-
-def _unary_identities(pres: ModPRingPresentation, values: _Values, m: Mono):
+def _unary_identities(pres: ModPRingPresentation, m: Mono):
     """Instability, the squaring rule and beta beta = 0 on one monomial, as
     (kind, evaluate) pairs; evaluate() returns (lhs, rhs, detail)."""
     name = pres.mono_str(m)
@@ -741,15 +716,15 @@ def _unary_identities(pres: ModPRingPresentation, values: _Values, m: Mono):
 
     def instability(k: int):
         bound = "the degree" if two else "half the degree"
-        return values.get(k, m), {}, f"{pres.op_name}^{k}({name}) should vanish above {bound}"
+        return pres.op_mono(k, m), {}, f"{pres.op_name}^{k}({name}) should vanish above {bound}"
 
     def squaring():
         power = (RingElement(pres, {m: 1}) ** pres.p).poly
         what = "square" if two else "p-th power"
-        return values.get(top, m), power, f"{pres.op_name}^{top}({name}) != {what}"
+        return pres.op_mono(top, m), power, f"{pres.op_name}^{top}({name}) != {what}"
 
     def beta_beta():
-        bb = values.apply(beta, values.apply(beta, {m: 1}))
+        bb = _apply(pres, beta, _apply(pres, beta, {m: 1}))
         return bb, {}, ("Sq^1 Sq^1" if two else "beta beta") + f" ({name}) != 0"
 
     out = [("INSTABILITY", lambda k=k: instability(k)) for k in (top + 1, top + 2)]
@@ -758,7 +733,7 @@ def _unary_identities(pres: ModPRingPresentation, values: _Values, m: Mono):
     return out + [("BOCKSTEIN", beta_beta)]
 
 
-def _pair_identities(pres: ModPRingPresentation, values: _Values, ma: Mono, mb: Mono):
+def _pair_identities(pres: ModPRingPresentation, ma: Mono, mb: Mono):
     """Cartan on ma * mb for every index up to one past the top, then (odd
     p) the signed Leibniz rule, as (kind, evaluate) pairs."""
     na, nb = pres.mono_str(ma), pres.mono_str(mb)
@@ -768,18 +743,18 @@ def _pair_identities(pres: ModPRingPresentation, values: _Values, ma: Mono, mb: 
     homogeneous = len({pres.mono_degree(m) for m in prod}) <= 1
 
     def cartan(k: int):
-        lhs = values.apply(k, prod) if homogeneous else None
+        lhs = _apply(pres, k, prod) if homogeneous else None
         rhs: Poly = {}
         # the terms with an index above a factor's top vanish
         for i in range(max(0, k - top_b), min(k, top_a) + 1):
-            pres._mul_into(rhs, values.get(i, ma), values.get(k - i, mb))
+            pres._mul_into(rhs, pres.op_mono(i, ma), pres.op_mono(k - i, mb))
         return lhs, pres.reduce(rhs), f"{pres.op_name}^{k}({na} * {nb})"
 
     def leibniz():
-        lhs = values.apply(None, prod)
+        lhs = _apply(pres, None, prod)
         sign = -1 if pres.mono_degree(ma) % 2 else 1
-        rhs = pres._mul_into({}, values.get(None, ma), {mb: 1})
-        pres._mul_into(rhs, {ma: 1}, values.get(None, mb), sign)
+        rhs = pres._mul_into({}, pres.beta_mono(ma), {mb: 1})
+        pres._mul_into(rhs, {ma: 1}, pres.beta_mono(mb), sign)
         return lhs, pres.reduce(rhs), f"Leibniz fails on {na} * {nb}"
 
     total = (pres.mono_degree(ma) + pres.mono_degree(mb)) // w
@@ -806,7 +781,6 @@ def axiom_report(pres: ModPRingPresentation, max_degree: int) -> AxiomReport:
     _check_confluence(pres, max_degree, out)
     checked = dict.fromkeys(AXIOM_KINDS, 0)
     skipped = dict.fromkeys(AXIOM_KINDS, 0)
-    values = _Values(pres)
 
     def run(identities) -> None:
         for pos, (kind, evaluate) in enumerate(identities):
@@ -826,10 +800,10 @@ def axiom_report(pres: ModPRingPresentation, max_degree: int) -> AxiomReport:
     monos = list(pres.monomials_up_to(max_degree))
     for m in monos:
         if pres.reduce({m: 1}):
-            run(_unary_identities(pres, values, m))
+            run(_unary_identities(pres, m))
     for ma, mb in itertools.combinations_with_replacement(monos, 2):
         if pres.mono_degree(ma) + pres.mono_degree(mb) <= max_degree:
-            run(_pair_identities(pres, values, ma, mb))
+            run(_pair_identities(pres, ma, mb))
     return AxiomReport(out, checked, skipped)
 
 

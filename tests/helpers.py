@@ -6,6 +6,8 @@ from a local Gaussian elimination, and Tor/Ext/Hom oracles go through
 free-resolution complexes rather than the per-factor gcd formulas.
 """
 
+import signal
+from contextlib import contextmanager
 from itertools import combinations
 
 from modtopo.abgroup import (
@@ -165,3 +167,20 @@ def random_composable_complex(rng, degrees=3, max_cells=5, lo=-3, hi=3):
         mix = random_matrix(rng, ker.cols, dims[m + 1], -2, 2)
         boundaries.append(ker @ mix if ker.cols else IntMatrix.zeros(dims[m], dims[m + 1]))
     return boundaries
+
+
+@contextmanager
+def deadline(seconds: int, what: str):
+    """Raise TimeoutError inside the block once ``seconds`` have passed, so
+    a guard that should fire before any allocation cannot hang the suite."""
+
+    def expired(signum, frame):
+        raise TimeoutError(what)
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

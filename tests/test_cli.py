@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import deadline
 from modtopo.cli import run, self_test
 
 
@@ -379,3 +380,43 @@ def test_float_or_bool_flux_coordinate_is_usage_error(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
+
+
+def _steenrod_doc(tmp_path, p, label, monomial):
+    pres = {"p": p, "generators": [{"name": "x", "degree": 1 if p == 2 else 2}]}
+    evaluate = {"op": label, "element": [{"coeff": 1, "monomial": monomial}]}
+    return write_json(tmp_path, "in.json", {"presentation": pres, "evaluate": evaluate})
+
+
+@pytest.mark.parametrize(
+    "p,label,monomial,rendered",
+    [(2, "Sq2", {"x": 2}, "x^4"), (2, "sq2", {"x": 2}, "x^4"), (2, "beta", {"x": 1}, "x^2"), (3, "St1", {"x": 1}, "x^3")],
+)
+def test_steenrod_accepts_operation_labels(capsys, tmp_path, p, label, monomial, rendered):
+    doc = invoke_json(capsys, "steenrod", "--json", _steenrod_doc(tmp_path, p, label, monomial))
+    assert doc["rendered"] == rendered
+
+
+@pytest.mark.parametrize("label", ["Xq1", "Sq"])
+def test_steenrod_unknown_operation_label_is_usage_error(capsys, tmp_path, label):
+    code, out, err = invoke(capsys, "steenrod", "--json", _steenrod_doc(tmp_path, 2, label, {"x": 1}))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (("hilbert", "--n", "40", "--h", "1", "--betti"), None),
+        (("anomaly",), {"check": "hilbert", "spec": {"n": 40, "h": 1, "cusp_dims": {"0": 1}}}),
+    ],
+)
+def test_oversized_cusp_table_is_domain_error_without_allocating(capsys, tmp_path, argv, doc):
+    if doc is not None:
+        argv = (*argv, "--json", write_json(tmp_path, "in.json", doc))
+    with deadline(2, "the cusp table was built before n was checked"):
+        code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "INVALID_INPUT" in err and "Traceback" not in err

@@ -108,3 +108,44 @@ def test_json_readers_reject_misshapen_documents():
     ]:
         with pytest.raises(InvalidInput):
             read(doc)
+
+
+def test_ring_presentation_rejects_float_and_bool_degrees_and_indices():
+    from modtopo.steenrod import ModPRingPresentation
+
+    with pytest.raises(TypeError):
+        ModPRingPresentation(2, [("x", 1.9)])
+    with pytest.raises(TypeError):
+        ModPRingPresentation(2, [("x", True)])
+    with pytest.raises(TypeError):
+        ModPRingPresentation(2, [("x", 2)], operations={("Sq", 1.7, "x"): 0})
+    with pytest.raises(TypeError):
+        ModPRingPresentation(2, [("x", 2)], operations={("Sq", True, "x"): 0})
+    assert ModPRingPresentation(2, [("x", 2)], operations={("Sq", 1, "x"): 0}).degrees == (2,)
+
+
+def test_ring_presentation_rejects_float_coefficients_and_exponents():
+    from modtopo.steenrod import ModPRingPresentation
+
+    pres = ModPRingPresentation(2, [("x", 1)])
+    with pytest.raises(TypeError):
+        pres.element([(3.5, {"x": 2})])
+    with pytest.raises(TypeError):
+        pres.element([(1, {"x": 2.9})])
+    with pytest.raises(TypeError):
+        pres.element([(1, {"x": True})])
+    with pytest.raises(TypeError):
+        ModPRingPresentation(2, [("x", 1)], [[(1.0, {"x": 3})]])
+    with pytest.raises(TypeError):
+        ModPRingPresentation(2, [("x", 2)], operations={("Sq", 1, "x"): [(1, {"x": 1.5})]})
+    assert str(pres.element([(3, {"x": 2})])) == "x^2"
+
+
+def test_betti_table_rejects_float_and_bool_values():
+    from modtopo.graded import BettiTable
+
+    with pytest.raises(TypeError):
+        BettiTable((1.5, True))
+    with pytest.raises(TypeError):
+        BettiTable((1, 2.0))
+    assert BettiTable([1, 0, 1]).values == (1, 0, 1)

@@ -3,8 +3,11 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
-from modtopo.errors import DegreeOutOfRange
+from helpers import deadline
+from modtopo.errors import DegreeOutOfRange, InvalidInput
 from modtopo.graded import betti, euler_characteristic
 from modtopo.hilbert import (
     BOUNDARY_DEGREE_ZEROED,
@@ -262,3 +265,40 @@ def test_spec_serialization_round_trip():
 def test_betti_total_dispatch():
     assert betti_total(CompactHilbertSpec(2, 5), 2) == 22
     assert betti_total(CuspidalHilbertSpec.uniform(2, 1, 0), 0) == 0
+
+
+# -- the cusp table, folded by cardinality --------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.integers(1, 6).flatmap(lambda n: hs.lists(hs.integers(0, 9), min_size=2**n, max_size=2**n)))
+def test_dims_by_cardinality_matches_popcount_sums(values):
+    assume(len(set(values)) > 1)  # a uniform table hides a wrong fold less well
+    n = len(values).bit_length() - 1
+    dims = dict(enumerate(values))
+    spec = CuspidalHilbertSpec(n, 1, dims)
+    for q in range(n + 1):
+        assert spec.dims_by_cardinality(q) == sum(v for b, v in dims.items() if bin(b).count("1") == q)
+    assert spec.total_cusp_dim() == sum(values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(hs.integers(1, 12), hs.integers(0, 50))
+def test_compact_dims_by_cardinality_is_binomial_times_form_dimension(n, d):
+    spec = CompactHilbertSpec(n, d)
+    assert [spec.dims_by_cardinality(q) for q in range(n + 1)] == [comb(n, q) * d for q in range(n + 1)]
+
+
+def test_cusp_table_size_is_checked_before_any_table_exists():
+    with deadline(2, "a 2^n table was built before n was checked"):
+        for build in (
+            lambda: CuspidalHilbertSpec(40, 1, {0: 1}),
+            lambda: CuspidalHilbertSpec.uniform(40, 1, 0),
+            lambda: CuspidalHilbertSpec.by_cardinality(40, 1, {0: 1}),
+            lambda: spec_from_json({"n": 21, "h": 1, "cusp_dims": {"0": 1}}),
+        ):
+            with pytest.raises(InvalidInput):
+                build()
+        # n = 20 passes the size check and fails only the coverage check
+        with pytest.raises(ValueError, match="cover all"):
+            CuspidalHilbertSpec(20, 1, {0: 1})

@@ -463,3 +463,67 @@ def test_axiom_report_clean_ring_skips_nothing():
     # x, x^2 and the unit: 2 instability, 1 squaring, 1 Bockstein each
     assert report.checked["INSTABILITY"] == 6
     assert report.checked["SQUARING"] == 3
+
+
+# -- one evaluation path over the presentation's memo --------------------------------
+
+
+def _undetermined_pair():
+    return ModPRingPresentation(2, [("x", 2), ("y", 3)])
+
+
+def _perturbed_square():
+    return ModPRingPresentation(
+        2,
+        [("x", 1), ("u", 2)],
+        [[(1, {"x": 2}), (1, {"u": 1})]],
+        operations={("Sq", 1, "u"): [(1, {"x": 1, "u": 1})]},
+    )
+
+
+@pytest.mark.parametrize(
+    "make,degree", [(_undetermined_pair, 10), (_perturbed_square, 6)], ids=["undetermined", "x^2 = u"]
+)
+def test_axiom_report_on_a_warm_memo_equals_a_fresh_presentation(make, degree):
+    warm = make()
+    first = axiom_report(warm, degree)
+    again = axiom_report(warm, degree)
+    fresh = axiom_report(make(), degree)
+    assert first == again == fresh
+    assert sum(fresh.skipped.values()) > 0 or fresh.violations
+
+
+@pytest.mark.parametrize(
+    "p,gens,ops,kinds",
+    [
+        (
+            2,
+            [("x", 1), ("u", 2)],
+            {("Sq", 1, "u"): [(1, {"x": 1, "u": 1})], ("beta", "x"): [(1, {"x": 2})]},
+            {"sq", "beta"},
+        ),
+        (
+            3,
+            [("a", 1), ("u", 2), ("v", 6)],
+            {("St", 1, "v"): [(1, {"u": 5})], ("beta", "a"): [(1, {"u": 1})], ("beta", "u"): 0},
+            {"st", "beta"},
+        ),
+    ],
+)
+def test_json_round_trip_keeps_the_operation_table(p, gens, ops, kinds):
+    pres = ModPRingPresentation(p, gens, operations=ops)
+    back = ModPRingPresentation.from_json(pres.to_json())
+    assert back.ops == pres.ops
+    assert {kind for kind, _, _ in back.ops} == kinds
+    assert back.to_json() == pres.to_json()
+
+
+def test_parse_op_label():
+    from modtopo.steenrod import parse_op_label
+
+    assert parse_op_label("beta") == ("beta", 1)
+    assert parse_op_label("Sq2") == parse_op_label("sq2") == ("sq", 2)
+    assert parse_op_label("sT10") == ("st", 10)
+    for label in ("Xq1", "Sq", "Beta", 5, None):
+        with pytest.raises(ValueError):
+            parse_op_label(label)
