@@ -24,11 +24,10 @@ twisted K-theory path.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, prod
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import DimensionMismatch, InvalidInput, NotAComplex, NotASublattice
 
@@ -86,8 +85,64 @@ def json_int(v: int):
     return v if abs(v) <= 2**53 else str(v)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class FrozenValue:
+    """Base of the immutable value types.
+
+    A subclass's fields are its annotated names, in order; a class
+    attribute gives a field's default.  Names that start with ``_`` stay
+    out of init, eq and repr and are set by ``__post_init__``.  Instances
+    compare and hash by class and field values and refuse assignment.
+    This base exists for start-up cost: the standard library's class
+    generator loads ``inspect`` and execs code for every class, which costs
+    a CLI process more than most commands' own work.
+    """
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(n for n in cls.__annotations__ if not n.startswith("_"))
+        cls._defaults = {n: vars(cls)[n] for n in cls._fields if n in vars(cls)}
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            if (
+                len(args) > len(names)
+                or values.keys() != set(names)
+                or not kwargs.keys().isdisjoint(names[: len(args)])
+            ):
+                raise TypeError(
+                    f"{type(self).__name__} takes the fields {', '.join(names)}, "
+                    f"not {len(args)} positional and {sorted(kwargs)} keyword arguments"
+                )
+            args = [values[n] for n in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class IntMatrix(FrozenValue):
     """Immutable row-major integer matrix with exact arithmetic."""
 
     rows: int
@@ -209,8 +264,7 @@ def determinant(m: IntMatrix) -> int:
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(FrozenValue):
     """Smith normal form M = left @ diag @ right.
 
     ``diagonal`` holds the min(rows, cols) diagonal entries: the invariant
@@ -498,8 +552,7 @@ def _coprime_base(values) -> list[int]:
     return base
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(FrozenValue):
     """Finitely generated abelian group in invariant-factor canonical form.
 
     ``rank`` counts the free Z summands; ``invariant_factors`` is the

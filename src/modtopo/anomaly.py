@@ -24,16 +24,13 @@ are rank-only, so torsion is always reported as undetermined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .abgroup import FgAbGroup, IntMatrix, as_int, json_shape, require_ints
+from .abgroup import FgAbGroup, FrozenValue, IntMatrix, as_int, json_shape, require_ints
 from .errors import AmbientMismatch, InvalidInput, LengthMismatch, ShapeMismatch
-from .hilbert import CompactHilbertSpec, HilbertSpec, betti_total, hodge_slice
 
 
-@dataclass(frozen=True)
-class CohomologyElement:
+class CohomologyElement(FrozenValue):
     """Coordinates of a class over its ambient group.
 
     Free coordinates are plain integers; torsion coordinate i is stored in
@@ -114,8 +111,7 @@ class CohomologyElement:
         return cls(ambient, tuple(map(as_int, free)), tuple(map(as_int, torsion)))
 
 
-@dataclass(frozen=True)
-class FreedWittenVerdict:
+class FreedWittenVerdict(FrozenValue):
     anomaly_free: bool
     obstruction: CohomologyElement
 
@@ -134,8 +130,7 @@ def freed_witten_check(
     return FreedWittenVerdict(obstruction.is_zero, obstruction)
 
 
-@dataclass(frozen=True)
-class MmsVerdict:
+class MmsVerdict(FrozenValue):
     unstable: bool
 
     def to_json(self) -> dict:
@@ -189,8 +184,7 @@ def d3_action(
     )
 
 
-@dataclass(frozen=True)
-class RationalClass:
+class RationalClass(FrozenValue):
     """Rational coordinates over a chosen integral basis of H^4."""
 
     coords: tuple[Fraction, ...]
@@ -216,8 +210,7 @@ class RationalClass:
         return [str(c) for c in self.coords]
 
 
-@dataclass(frozen=True)
-class FluxVerdict:
+class FluxVerdict(FrozenValue):
     quantized: bool
     defect: RationalClass
 
@@ -243,8 +236,7 @@ def flux_quantization_check(
     return FluxVerdict(all(c.denominator == 1 for c in defect.coords), defect)
 
 
-@dataclass(frozen=True)
-class HilbertAnomalyReport:
+class HilbertAnomalyReport(FrozenValue):
     """Degree-3 summary for a Hilbert modular variety.
 
     ``cusp_h3_dims`` maps (p, q) with p + q = 3 to the cuspidal Hodge
@@ -270,6 +262,8 @@ _TORSION_NOTE = "torsion in H^3 is undetermined by the rank-only tables"
 
 def hilbert_anomaly_report(spec: HilbertSpec) -> HilbertAnomalyReport:
     """What the closed forms say about the restriction class in degree 3."""
+    from .hilbert import CompactHilbertSpec, betti_total, hodge_slice
+
     n = spec.n
     rank = betti_total(spec, 3) if 2 * n >= 3 else 0
     if isinstance(spec, CompactHilbertSpec):

@@ -154,7 +154,6 @@ def _cmd_anomaly(args) -> dict:
         hilbert_anomaly_report,
         mms_instability_check,
     )
-    from .hilbert import spec_from_json
 
     doc = _load_doc(args)
     check = doc.get("check")
@@ -183,6 +182,8 @@ def _cmd_anomaly(args) -> dict:
         out = d3_action(x, as_int(doc["degree"]), cup_by_h=cup, sq3=sq3, target=target)
         return {"result": out.to_json()}
     if check == "hilbert":
+        from .hilbert import spec_from_json
+
         return hilbert_anomaly_report(spec_from_json(doc["spec"])).to_json()
     raise _Usage(f"unknown anomaly check {check!r}")
 
@@ -228,7 +229,7 @@ def _cmd_self_test(args):
     if failed:
         raise DomainError(
             "; ".join(
-                f"{r.name} failed at {r.failures[0]}" for r in reports if not r.ok
+                f"{r.name}: {len(r.failures)} of {r.cases} cases failed" for r in reports if not r.ok
             )
         )
     return {r.name: {"cases": r.cases, "ok": r.ok} for r in reports}

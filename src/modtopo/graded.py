@@ -13,13 +13,10 @@ torsion is annihilated); field coefficients Z/p are the torsion groups
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .abgroup import FgAbGroup, IntMatrix, as_int, is_prime, json_shape, require_ints
+from .abgroup import FgAbGroup, FrozenValue, IntMatrix, as_int, is_prime, json_shape, require_ints
 
 
-@dataclass(frozen=True)
-class GradedCohomology:
+class GradedCohomology(FrozenValue):
     """Groups indexed by degree 0..top_degree, plus a free-form label."""
 
     groups: tuple[FgAbGroup, ...]
@@ -65,8 +62,7 @@ class GradedCohomology:
         )
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(FrozenValue):
     """Ranks by degree (torsion ignored)."""
 
     values: tuple[int, ...]
@@ -80,8 +76,7 @@ class BettiTable:
         return list(self.values)
 
 
-@dataclass(frozen=True)
-class CoefficientSpec:
+class CoefficientSpec(FrozenValue):
     """One of integer, mod-p (p prime), or rational coefficients."""
 
     kind: str

@@ -28,13 +28,10 @@ degree range would omit it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
-from .abgroup import FgAbGroup, as_int, json_shape, require_ints
+from .abgroup import FgAbGroup, FrozenValue, as_int, json_shape, require_ints
 from .errors import DegreeOutOfRange, InvalidInput
-from .graded import GradedCohomology
 
 BOUNDARY_DEGREE_ZEROED = "BOUNDARY_DEGREE_ZEROED"
 EIS_INCLUDED_AT_MIDDLE_DEGREE = "EIS_INCLUDED_AT_MIDDLE_DEGREE"
@@ -44,8 +41,7 @@ def _binom(a: int, b: int) -> int:
     return comb(a, b) if 0 <= b <= a else 0
 
 
-@dataclass(frozen=True)
-class CompactHilbertSpec:
+class CompactHilbertSpec(FrozenValue):
     """Co-compact quotient of n upper half-planes.
 
     dim_weight2 is dim of the weight-(2,...,2) modular form space.
@@ -85,8 +81,7 @@ def _subsets(n: int) -> range:
     return range(2**n)
 
 
-@dataclass(frozen=True)
-class CuspidalHilbertSpec:
+class CuspidalHilbertSpec(FrozenValue):
     """Congruence quotient with cusps.
 
     ``num_cusps`` is the cusp number h; ``cusp_dims`` assigns to every
@@ -98,7 +93,7 @@ class CuspidalHilbertSpec:
     n: int
     num_cusps: int
     cusp_dims: dict[int, int]
-    _by_size: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _by_size: tuple[int, ...]
 
     def __post_init__(self):
         dims = dict(self.cusp_dims)
@@ -187,12 +182,13 @@ def compact_betti(spec: CompactHilbertSpec, m: int) -> int:
 
 def compact_implied_volume(spec: CompactHilbertSpec) -> Fraction:
     """chi / (-2)^n; no normalization of the volume is claimed beyond this."""
+    from fractions import Fraction
+
     chi = sum((-1) ** m * compact_betti(spec, m) for m in range(2 * spec.n + 1))
     return Fraction(chi, (-2) ** spec.n)
 
 
-@dataclass(frozen=True)
-class CuspidalBetti:
+class CuspidalBetti(FrozenValue):
     """Degree-m Betti contribution split into its three parts.
 
     ``total`` applies the table's boundary rule b^0 = b^(2n) = 0; when the
@@ -247,8 +243,7 @@ def betti_total(spec: HilbertSpec, m: int) -> int:
 # Hodge decomposition
 
 
-@dataclass(frozen=True)
-class HodgeSlice:
+class HodgeSlice(FrozenValue):
     """Hodge numbers of one degree, keyed by (p, q, part).
 
     Parts are "univ", "eis", "cusp"; only nonzero entries are stored.
@@ -317,8 +312,7 @@ def hodge_slice(spec: HilbertSpec, m: int) -> HodgeSlice:
     return HodgeSlice(m, entries, tuple(flags))
 
 
-@dataclass(frozen=True)
-class FiltrationDims:
+class FiltrationDims(FrozenValue):
     """Dimensions of one step of the decreasing Hodge filtration."""
 
     univ_dim: int
@@ -351,6 +345,8 @@ def variety_cohomology(spec: HilbertSpec) -> GradedCohomology:
     The closed forms determine complex dimensions only, so torsion is
     reported as absent.
     """
+    from .graded import GradedCohomology
+
     if isinstance(spec, CompactHilbertSpec):
         label = f"compact Hilbert variety n={spec.n}"
     else:

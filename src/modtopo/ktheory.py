@@ -27,11 +27,11 @@ solved here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .abgroup import (
     FgAbGroup,
+    FrozenValue,
     IntMatrix,
     as_int,
     integer_kernel_basis,
@@ -42,8 +42,7 @@ from .errors import InvalidDimension, NoUnitSummand
 from .graded import GradedCohomology
 
 
-@dataclass(frozen=True)
-class CircleBundleSpec:
+class CircleBundleSpec(FrozenValue):
     """Genus of the base, Chern class of the bundle, twist level k >= 0.
 
     j and -j give isomorphic total spaces (orientation reversal), so
@@ -69,8 +68,7 @@ class CircleBundleSpec:
         return cls(as_int(doc["genus"]), as_int(doc.get("chern", 0)), as_int(doc.get("twist", 0)))
 
 
-@dataclass(frozen=True)
-class KPair:
+class KPair(FrozenValue):
     """Even/odd K-groups in canonical form."""
 
     k0: FgAbGroup

@@ -9,10 +9,9 @@ deliberately corrupts one comparison so the failure path stays honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .abgroup import FgAbGroup
+from .abgroup import FgAbGroup, FrozenValue
 from .hilbert import (
     CompactHilbertSpec,
     CuspidalHilbertSpec,
@@ -23,8 +22,7 @@ from .hilbert import (
 from .ktheory import CircleBundleSpec, KPair, k_groups, k_groups_via_d3, t_duality_check
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(FrozenValue):
     name: str
     cases: int
     failures: tuple[tuple, ...]
@@ -34,7 +32,8 @@ class SweepReport:
         return not self.failures
 
     def summary(self) -> str:
-        status = "ok" if self.ok else f"FAILED {self.failures[0]}"
+        failed = ", ".join(map(str, self.failures))
+        status = f"FAILED {len(self.failures)}: {failed}" if failed else "ok"
         return f"{self.name}: {self.cases} cases, {status}"
 
 

@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from operator import add, le, mul, sub
 
-from .abgroup import as_int, is_prime, json_shape, require_ints
+from .abgroup import FrozenValue, as_int, is_prime, json_shape, require_ints
 from .errors import (
     Inhomogeneous,
     NotModTwo,
@@ -49,8 +48,7 @@ Mono = tuple[int, ...]
 Poly = dict[Mono, int]
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(FrozenValue):
     """One failed identity, with both computed sides rendered."""
 
     kind: str
@@ -134,6 +132,8 @@ class ModPRingPresentation:
         return (kind, k, self._index[name])
 
     def _compile(self, raw) -> Poly:
+        if isinstance(raw, (int, float)):
+            require_ints("a zero polynomial", raw)  # 0.0 and False compare equal to 0
         if raw in (0, "0", None):
             return {}
         poly: Poly = {}
@@ -624,8 +624,7 @@ def w3_from_w2(w2: RingElement) -> RingElement:
 AXIOM_KINDS = ("INSTABILITY", "SQUARING", "BOCKSTEIN", "CARTAN")
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(FrozenValue):
     """Violations of one sweep, and the identities it checked and skipped.
 
     ``checked`` and ``skipped`` count identities by kind (the keys of

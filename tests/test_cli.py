@@ -288,6 +288,20 @@ def test_self_test_injected_fault_fails(capsys):
     assert "(0, 0, 0)" in err
 
 
+def test_self_test_lists_every_failure_on_stderr(capsys, monkeypatch):
+    import modtopo.selftest
+    from modtopo.selftest import SweepReport
+
+    report = SweepReport("sweep", 9, ((0, 1, 2), (3, 4, 5)))
+    assert report.summary() == "sweep: 9 cases, FAILED 2: (0, 1, 2), (3, 4, 5)"
+    monkeypatch.setattr(modtopo.selftest, "k_path_sweep", lambda **_: report)
+    code, out, err = invoke(capsys, "self-test", "--max-genus", "0")
+    assert code == 1
+    assert out == ""
+    assert "FAILED 2: (0, 1, 2), (3, 4, 5)" in err
+    assert "sweep: 2 of 9 cases failed" in err
+
+
 def test_self_test_entry_point(capsys):
     assert self_test(["--max-genus", "0"]) == 0
     capsys.readouterr()

@@ -6,6 +6,7 @@ tests pin that; the golden test pins the stdout of the README examples
 and of one command per subcommand, byte for byte.
 """
 
+import functools
 import importlib
 import io
 import json
@@ -54,7 +55,7 @@ def python(*args, stdin=""):
     )
 
 
-# runs modtopo.cli as ``python -m`` does, then lists the modtopo modules loaded
+# runs modtopo.cli as ``python -m`` does, then lists the modules loaded
 RUN_CLI = """
 import runpy, sys
 sys.argv[0] = "modtopo"
@@ -62,15 +63,26 @@ try:
     runpy.run_module("modtopo.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print(*sorted(m for m in sys.modules if m.startswith("modtopo")), file=sys.stderr)
+print(*sorted(sys.modules), file=sys.stderr)
 """
 
 
-def cli_loads(argv, doc):
-    """The modtopo modules that one CLI command loads."""
+def cli_loads(argv, doc, all_modules=False):
+    """The modtopo modules that one CLI command loads; with ``all_modules``,
+    every module it loads that a bare ``python -c pass`` does not."""
     proc = python("-c", RUN_CLI, *argv, stdin=json.dumps(doc))
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stderr.split())
+    loaded = set(proc.stderr.split())
+    if all_modules:
+        return loaded - bare_interpreter_modules()
+    return {m for m in loaded if m.startswith("modtopo")}
+
+
+@functools.cache
+def bare_interpreter_modules():
+    proc = python("-c", "import sys; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(proc.stdout.split())
 
 
 def test_import_modtopo_loads_no_submodule():
@@ -93,6 +105,35 @@ def test_steenrod_evaluation_loads_no_other_calculator():
     assert "modtopo.steenrod" in loaded
     others = {f"modtopo.{m}" for m in ("hilbert", "anomaly", "graded", "ktheory", "selftest")}
     assert not loaded & others
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["label"] for c in GOLDEN])
+def test_no_command_loads_dataclasses_or_inspect(case):
+    doc = json.loads(case["stdin"]) if case["stdin"] else {}
+    loaded = cli_loads(case["argv"], doc, all_modules=True)
+    assert "modtopo.abgroup" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"check": "flux", "g4": ["1/2"], "p1": [2]},
+        {"check": "freed_witten", "ambient": {"rank": 0, "torsion": [2]}, "w3": {"torsion": [1]},
+         "h": {"torsion": [1]}},
+    ],
+    ids=["flux", "freed_witten"],
+)
+def test_anomaly_checks_off_the_hilbert_branch_load_no_hilbert(doc):
+    loaded = cli_loads(["anomaly"], doc)
+    assert "modtopo.anomaly" in loaded
+    assert not loaded & {"modtopo.hilbert", "modtopo.graded"}
+
+
+def test_hilbert_betti_loads_no_graded_and_no_fractions():
+    loaded = cli_loads(["hilbert", "--n", "3", "--h", "2", "--betti"], {}, all_modules=True)
+    assert "modtopo.hilbert" in loaded
+    assert not loaded & {"modtopo.graded", "fractions"}
 
 
 def test_every_exported_name_resolves_to_its_module_object():

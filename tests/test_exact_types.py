@@ -149,3 +149,18 @@ def test_betti_table_rejects_float_and_bool_values():
     with pytest.raises(TypeError):
         BettiTable((1, 2.0))
     assert BettiTable([1, 0, 1]).values == (1, 0, 1)
+
+
+def test_ring_presentation_rejects_float_and_bool_zero_polynomials():
+    from modtopo.steenrod import ModPRingPresentation
+
+    pres = ModPRingPresentation(2, [("x", 1)])
+    for zero in (0.0, False, 0.5):
+        with pytest.raises(TypeError):
+            pres.element(zero)
+        with pytest.raises(TypeError):
+            ModPRingPresentation(2, [("x", 1)], [zero])
+        with pytest.raises(TypeError):
+            ModPRingPresentation(2, [("x", 2)], operations={("Sq", 1, "x"): zero})
+    assert pres.element(0).poly == {} and pres.element("0").poly == {} and pres.element(None).poly == {}
+    assert ModPRingPresentation(2, [("x", 1)], [0]).raw_relations == ({},)
