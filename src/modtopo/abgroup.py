@@ -89,9 +89,9 @@ class FrozenValue:
     """Base of the immutable value types.
 
     A subclass's fields are its annotated names, in order; a class
-    attribute gives a field's default.  Names that start with ``_`` stay
-    out of init, eq and repr and are set by ``__post_init__``.  Instances
-    compare and hash by class and field values and refuse assignment.
+    attribute gives a field's default.  Instances compare and hash by
+    class and field values and refuse assignment; ``__post_init__`` may
+    still cache derived values with ``object.__setattr__``.
     This base exists for start-up cost: the standard library's class
     generator loads ``inspect`` and execs code for every class, which costs
     a CLI process more than most commands' own work.
@@ -99,7 +99,7 @@ class FrozenValue:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._fields = tuple(n for n in cls.__annotations__ if not n.startswith("_"))
+        cls._fields = tuple(cls.__annotations__)
         cls._defaults = {n: vars(cls)[n] for n in cls._fields if n in vars(cls)}
         cls._key = attrgetter(*cls._fields)
 

@@ -148,7 +148,6 @@ def mms_instability_check(
 def d3_action(
     x: CohomologyElement,
     degree_x: int,
-    h: CohomologyElement | None = None,
     cup_by_h: IntMatrix | None = None,
     sq3: IntMatrix | None = None,
     target: FgAbGroup | None = None,
@@ -156,13 +155,16 @@ def d3_action(
     """Apply d3 = Sq^3 + (cup with h) to coordinates of a degree-d class.
 
     Both maps act on the concatenated (free, torsion) coordinates and must
-    be well-defined homomorphisms into ``target``.  An absent Sq^3 is the
-    zero map; that is forced for degree_x < 3 (Sq^3 vanishes below its own
-    degree) and harmless whenever the target has no 2-torsion for it to
-    hit.  An absent cup map is the zero map (trivial twist).  The class
-    ``h`` itself is carried for bookkeeping only: a class does not
-    determine its cup action on a presented group, the matrix does.
+    be well-defined homomorphisms into ``target``: a class h does not
+    determine its cup action on a presented group, the matrix does.  An
+    absent map is the zero map (for the cup map, a trivial twist).  Sq^3
+    vanishes below its own degree, so a nonzero ``sq3`` for degree_x < 3
+    is InvalidInput, and so is a negative degree.
     """
+    if degree_x < 0:
+        raise InvalidInput(f"degree {degree_x} is negative")
+    if degree_x < 3 and sq3 is not None and not sq3.is_zero():
+        raise InvalidInput(f"Sq^3 vanishes in degree {degree_x}, but sq3 is nonzero")
     if target is None:
         if cup_by_h is not None or sq3 is not None:
             raise ShapeMismatch("maps were supplied without a target group")

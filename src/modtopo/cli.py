@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (a raised DomainError, e.g.
 NOT_A_COMPLEX), 2 usage error.  On success exactly one JSON document is
-written to standard output (sorted keys, two-space indent, big integers
-as decimal strings); diagnostics go to standard error.  On nonzero exit
-standard output stays empty unless ``--partial`` is passed.  Setting the
-environment variable MODTOPO_NO_COLOR disables ANSI styling on stderr.
+written to standard output (sorted keys, two-space indent, every integer
+beyond 2**53 as a decimal string); diagnostics go to standard error.  On
+nonzero exit standard output stays empty unless ``--partial`` is passed.
 
 Each subcommand handler imports the modules it uses, so one process loads
 only what its command needs.
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .abgroup import (
@@ -34,14 +32,16 @@ class _Usage(Exception):
     pass
 
 
+def _big_ints_as_strings(doc):
+    if isinstance(doc, dict):
+        return {k: _big_ints_as_strings(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_big_ints_as_strings(v) for v in doc]
+    return json_int(doc) if type(doc) is int else doc
+
+
 def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def _style(text: str, code: str) -> str:
-    if os.environ.get("MODTOPO_NO_COLOR") or not sys.stderr.isatty():
-        return text
-    return f"\x1b[{code}m{text}\x1b[0m"
+    print(json.dumps(_big_ints_as_strings(doc), indent=2, sort_keys=True))
 
 
 def _nonneg(value: str) -> int:
@@ -71,7 +71,7 @@ def _cmd_group(args) -> dict:
     if op == "smith":
         s = smith_normal_form(IntMatrix.from_json(doc["matrix"]))
         return {
-            "diagonal": [json_int(d) for d in s.diagonal],
+            "diagonal": s.diagonal,
             "left": s.left.to_json(),
             "right": s.right.to_json(),
         }
@@ -221,17 +221,11 @@ def _cmd_self_test(args):
         k_path_sweep(max_genus=args.max_genus, inject_fault=args.inject_fault),
         hodge_sum_sweep(inject_fault=args.inject_fault),
     ]
-    failed = False
     for rep in reports:
-        mark = _style("pass", "32") if rep.ok else _style("FAIL", "31")
-        print(f"[{mark}] {rep.summary()}", file=sys.stderr)
-        failed = failed or not rep.ok
+        print(f"[{'pass' if rep.ok else 'FAIL'}] {rep.summary()}", file=sys.stderr)
+    failed = [f"{r.name}: {len(r.failures)} of {r.cases} cases failed" for r in reports if not r.ok]
     if failed:
-        raise DomainError(
-            "; ".join(
-                f"{r.name}: {len(r.failures)} of {r.cases} cases failed" for r in reports if not r.ok
-            )
-        )
+        raise DomainError("; ".join(failed))
     return {r.name: {"cases": r.cases, "ok": r.ok} for r in reports}
 
 

@@ -93,7 +93,6 @@ class CuspidalHilbertSpec(FrozenValue):
     n: int
     num_cusps: int
     cusp_dims: dict[int, int]
-    _by_size: tuple[int, ...]
 
     def __post_init__(self):
         dims = dict(self.cusp_dims)

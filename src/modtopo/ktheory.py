@@ -27,13 +27,10 @@ solved here).
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .abgroup import (
     FgAbGroup,
     FrozenValue,
     IntMatrix,
-    as_int,
     integer_kernel_basis,
     lattice_quotient,
     require_ints,
@@ -62,10 +59,6 @@ class CircleBundleSpec(FrozenValue):
 
     def to_json(self) -> dict:
         return {"genus": self.genus, "chern": self.chern, "twist": self.twist}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "CircleBundleSpec":
-        return cls(as_int(doc["genus"]), as_int(doc.get("chern", 0)), as_int(doc.get("twist", 0)))
 
 
 class KPair(FrozenValue):
@@ -132,15 +125,14 @@ def _even_odd_presentations(spec: CircleBundleSpec):
     generator and kills everything else.
     """
     g, j, k = spec.genus, abs(spec.chern), spec.twist
-    h2_free = 2 * g + 1 if j == 0 else 2 * g
-    ge = 1 + h2_free + (1 if j != 0 else 0)  # x0, H^2 free gens, torsion gen
+    free = 2 * g + 1 if j == 0 else 2 * g  # the rank of H^1 and of H^2's free part
+    ge = 1 + free + (1 if j != 0 else 0)  # x0, H^2 free gens, torsion gen
     rel_e = (
         IntMatrix.from_rows([[j] if i == ge - 1 else [0] for i in range(ge)], cols=1)
         if j != 0
         else IntMatrix.zeros(ge, 0)
     )
-    h1_free = 2 * g + 1 if j == 0 else 2 * g
-    go = h1_free + 1  # H^1 free gens, then the H^3 generator
+    go = free + 1  # H^1 free gens, then the H^3 generator
     rel_o = IntMatrix.zeros(go, 0)
     d_eo = IntMatrix.from_rows(
         [[k if (r == go - 1 and c == 0) else 0 for c in range(ge)] for r in range(go)],
@@ -155,13 +147,9 @@ def _subquotient(
 ) -> FgAbGroup:
     """ker(d_fwd mod rel_tgt) / (im d_back + rel_src), by lattice algebra."""
     lifted = integer_kernel_basis(d_fwd.hstack(rel_tgt))
-    span_rows = [list(lifted.row(i)) for i in range(d_fwd.cols)]
-    span = IntMatrix.from_rows(span_rows, cols=lifted.cols)
-    # zero columns generate nothing, so only the others are solved for
-    both = d_back.hstack(rel_src)
-    sub_cols = [col for col in map(both.column, range(both.cols)) if any(col)]
-    sub = IntMatrix(len(sub_cols), both.rows, tuple(chain.from_iterable(sub_cols)))
-    return lattice_quotient(span, sub.transpose())
+    # the kernel's first d_fwd.cols coordinates lie in the source
+    span = IntMatrix(d_fwd.cols, lifted.cols, lifted.entries[: d_fwd.cols * lifted.cols])
+    return lattice_quotient(span, d_back.hstack(rel_src))
 
 
 def k_groups_via_d3(spec: CircleBundleSpec) -> KPair:

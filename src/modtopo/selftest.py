@@ -21,6 +21,9 @@ from .hilbert import (
 )
 from .ktheory import CircleBundleSpec, KPair, k_groups, k_groups_via_d3, t_duality_check
 
+CHERNS, TWISTS = range(-5, 6), range(6)
+HALF_PLANES, CUSPS, DIMS = range(1, 5), range(1, 4), range(4)
+
 
 class SweepReport(FrozenValue):
     name: str
@@ -37,19 +40,10 @@ class SweepReport(FrozenValue):
         return f"{self.name}: {self.cases} cases, {status}"
 
 
-def k_path_sweep(
-    max_genus: int = 4,
-    max_chern: int = 5,
-    max_twist: int = 5,
-    inject_fault: bool = False,
-) -> SweepReport:
+def k_path_sweep(max_genus: int = 4, inject_fault: bool = False) -> SweepReport:
     failures: list[tuple] = []
     cases = 0
-    for g, j, k in product(
-        range(max_genus + 1),
-        range(-max_chern, max_chern + 1),
-        range(max_twist + 1),
-    ):
+    for g, j, k in product(range(max_genus + 1), CHERNS, TWISTS):
         cases += 1
         spec = CircleBundleSpec(g, j, k)
         closed = k_groups(spec)
@@ -61,16 +55,11 @@ def k_path_sweep(
     return SweepReport("k-groups closed-form vs d3", cases, tuple(failures))
 
 
-def hodge_sum_sweep(
-    max_n: int = 4,
-    max_cusps: int = 3,
-    max_dim: int = 3,
-    inject_fault: bool = False,
-) -> SweepReport:
+def hodge_sum_sweep(inject_fault: bool = False) -> SweepReport:
     failures: list[tuple] = []
     cases = 0
-    for n in range(1, max_n + 1):
-        for d in range(max_dim + 1):
+    for n in HALF_PLANES:
+        for d in DIMS:
             spec = CompactHilbertSpec(n, d)
             for m in range(2 * n + 1):
                 cases += 1
@@ -79,7 +68,7 @@ def hodge_sum_sweep(
                     want += 1
                 if hodge_slice(spec, m).total() != want:
                     failures.append(("compact", n, d, m))
-        for h, d in product(range(1, max_cusps + 1), range(max_dim + 1)):
+        for h, d in product(CUSPS, DIMS):
             spec = CuspidalHilbertSpec.uniform(n, h, d)
             for m in range(2 * n + 1):
                 cases += 1

@@ -128,6 +128,36 @@ def test_solve_integer_no_solution():
     assert solve_integer(m, [4]) == [2]
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: IntMatrix(-1, 0, ()), "nonnegative"),
+        (lambda: IntMatrix(0, -2, ()), "nonnegative"),
+        (lambda: IntMatrix(2, 2, (1, 2, 3)), "entry count"),
+        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged"),
+    ],
+    ids=["negative rows", "negative cols", "entry count", "ragged rows"],
+)
+def test_malformed_matrix_is_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_shapes_that_do_not_fit_are_dimension_mismatches():
+    m = IntMatrix.zeros(2, 3)
+    for bad in (
+        lambda: m @ m,
+        lambda: m.apply([1, 2]),
+        lambda: m.hstack(IntMatrix.zeros(3, 1)),
+        lambda: solve_integer(m, [1, 2, 3]),
+        lambda: lattice_quotient(m, IntMatrix.zeros(3, 1)),
+    ):
+        with pytest.raises(DimensionMismatch):
+            bad()
+    with pytest.raises(ValueError, match="square"):
+        determinant(m)
+
+
 def test_lattice_quotient_basic():
     # Z^2 / <(2,0),(0,3)> = Z/2 + Z/3 = Z/6
     span = IntMatrix.identity(2)

@@ -14,7 +14,7 @@ from modtopo.anomaly import (
     hilbert_anomaly_report,
     mms_instability_check,
 )
-from modtopo.errors import AmbientMismatch, LengthMismatch, ShapeMismatch
+from modtopo.errors import AmbientMismatch, InvalidInput, LengthMismatch, ShapeMismatch
 from modtopo.hilbert import CompactHilbertSpec, CuspidalHilbertSpec
 
 
@@ -183,6 +183,20 @@ def test_d3_shape_mismatch():
         d3_action(elem(src, (1, 0), ()), 3, cup_by_h=bad, target=tgt)
     with pytest.raises(ShapeMismatch):
         d3_action(elem(src, (1, 0), ()), 3, cup_by_h=IntMatrix.identity(2))
+
+
+def test_d3_rejects_negative_degrees_and_sq3_below_degree_three():
+    z = FgAbGroup.free(1)
+    x = elem(z, (1,))
+    sq3 = IntMatrix(1, 1, (7,))
+    for degree in (2, 0, -4):
+        with pytest.raises(InvalidInput):
+            d3_action(x, degree, sq3=sq3, target=z)
+    with pytest.raises(InvalidInput):
+        d3_action(x, -1)
+    # a zero Sq^3 map is allowed in any degree; from degree 3 on Sq^3 acts
+    assert d3_action(x, 2, sq3=IntMatrix.zeros(1, 1), target=z).is_zero
+    assert d3_action(x, 3, sq3=sq3, target=z).free_coords == (7,)
 
 
 def test_d3_additivity_sweep():

@@ -224,6 +224,51 @@ def test_anomaly_hilbert_report(capsys, tmp_path):
     assert sum(e["value"] for e in doc["cusp_h3_dims"]) == 8
 
 
+D3_DOC = {
+    "check": "d3",
+    "source": {"rank": 1, "torsion": []},
+    "target": {"rank": 1, "torsion": []},
+    "x": {"free": [1]},
+    "sq3": {"rows": 1, "cols": 1, "entries": [7]},
+}
+
+
+def test_anomaly_d3_applies_sq3_from_degree_three(capsys, tmp_path):
+    path = write_json(tmp_path, "in.json", {**D3_DOC, "degree": 3})
+    doc = invoke_json(capsys, "anomaly", "--json", path)
+    assert doc == {"result": {"free": [7], "torsion": []}}
+
+
+@pytest.mark.parametrize("degree", [2, -4])
+def test_anomaly_d3_sq3_below_degree_three_is_domain_error(capsys, tmp_path, degree):
+    path = write_json(tmp_path, "in.json", {**D3_DOC, "degree": degree})
+    code, out, err = invoke(capsys, "anomaly", "--json", path)
+    assert code == 1
+    assert out == ""
+    assert "INVALID_INPUT" in err and "Traceback" not in err
+
+
+def test_hilbert_betti_beyond_2_53_is_a_decimal_string(capsys):
+    argv = ["hilbert", "--n", "2", "--compact", "--dim-weight2", "10000000000000000", "--betti"]
+    assert invoke_json(capsys, *argv) == [1, 0, "40000000000000002", 0, 1]
+
+
+@pytest.mark.parametrize(
+    "w3, shown",
+    [(2**53 - 1, 2**53), (2**53 + 1, str(2**53 + 2)), (-(2**53) - 3, str(-(2**53) - 2))],
+    ids=["2^53 stays a number", "beyond 2^53", "below -2^53"],
+)
+def test_freed_witten_coordinates_beyond_2_53_are_decimal_strings(capsys, tmp_path, w3, shown):
+    doc = {
+        "check": "freed_witten",
+        "ambient": {"rank": 1, "torsion": []},
+        "w3": {"free": [w3]},
+        "h": {"free": [1]},
+    }
+    out = invoke_json(capsys, "anomaly", "--json", write_json(tmp_path, "in.json", doc))
+    assert out == {"anomaly_free": False, "obstruction": {"free": [shown], "torsion": []}}
+
+
 # -- steenrod -----------------------------------------------------------------------
 
 

@@ -3,7 +3,8 @@
 The package resolves its public names on first access (PEP 562), and
 each CLI subcommand imports only the modules it uses.  The subprocess
 tests pin that; the golden test pins the stdout of the README examples
-and of one command per subcommand, byte for byte.
+and of one command per subcommand, byte for byte, and the pinned test
+the output of the other subcommand branches.
 """
 
 import functools
@@ -22,6 +23,8 @@ from modtopo.cli import run
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN = json.loads((Path(__file__).with_name("cli_golden.json")).read_text(encoding="utf-8"))
+# the remaining subcommand branches, with exit code and stderr
+PINNED = json.loads((Path(__file__).with_name("cli_pinned.json")).read_text(encoding="utf-8"))
 
 # the public names of the package, by the module that defines them
 EXPORTED = {
@@ -156,3 +159,13 @@ def test_cli_stdout_is_unchanged(case, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", PINNED, ids=[c["label"] for c in PINNED])
+def test_cli_output_of_every_branch_is_unchanged(case, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
+    code = run(case["argv"])
+    captured = capsys.readouterr()
+    assert code == case["exit"]
+    assert captured.out == case["stdout"]
+    assert captured.err == case["stderr"]

@@ -303,6 +303,20 @@ def test_degree_bookkeeping():
     assert st(1, p3.gen("u")).degree == 2 + 2 * 1 * (3 - 1)
 
 
+def test_ring_element_arithmetic_lifts_ints():
+    pres = ModPRingPresentation(3, [("u", 2)])
+    u, one = pres.gen("u"), pres.unit()
+    assert u - u == 0 and 0 == u - u
+    assert u - 2 * u == 2 * u  # -u is 2u mod 3
+    assert u + 1 == 1 + u == u + one
+    assert one == 1 and one == 4 and u != 1
+    assert u + 3 == u
+    assert hash(u + 1) == hash(one + u)
+    assert len({u, u * 1, u + 0, 1 * u}) == 1
+    with pytest.raises(ValueError, match="negative"):
+        u**-1
+
+
 def test_serialization_round_trip():
     pres = ModPRingPresentation(
         2,
@@ -454,6 +468,17 @@ def test_axiom_report_counts_skipped_identities():
     assert sum(report.skipped.values()) > 0
     assert report.skipped["CARTAN"] > 0
     assert sum(report.checked.values()) > 0
+
+
+def test_inhomogeneous_relation_is_reported_and_its_cartan_identities_skipped():
+    # x^3 = y + x mixes the degrees 3, 2 and 1
+    pres = ModPRingPresentation(
+        2, [("x", 1), ("y", 2)], [[(1, {"x": 3}), (1, {"y": 1}), (1, {"x": 1})]]
+    )
+    report = axiom_report(pres, 4)
+    assert [v.kind for v in report.violations] == ["DEGREE"]
+    assert "not homogeneous" in report.violations[0].detail
+    assert report.skipped["CARTAN"] == 47
 
 
 def test_axiom_report_clean_ring_skips_nothing():
