@@ -41,7 +41,16 @@ def _big_ints_as_strings(doc):
 
 
 def _emit(doc) -> None:
-    print(json.dumps(_big_ints_as_strings(doc), indent=2, sort_keys=True))
+    # an answer is printed in full, however many digits it has; the
+    # interpreter's limit on int-to-string conversion is lifted only here
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(json.dumps(_big_ints_as_strings(doc), indent=2, sort_keys=True))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _nonneg(value: str) -> int:

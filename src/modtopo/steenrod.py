@@ -732,35 +732,115 @@ def _unary_identities(pres: ModPRingPresentation, m: Mono):
     return out + [("BOCKSTEIN", beta_beta)]
 
 
-def _pair_identities(pres: ModPRingPresentation, ma: Mono, mb: Mono):
+def _check_pairs(
+    pres: ModPRingPresentation,
+    monos: list[Mono],
+    max_degree: int,
+    out: list[AxiomViolation],
+    checked: dict[str, int],
+    skipped: dict[str, int],
+):
     """Cartan on ma * mb for every index up to one past the top, then (odd
-    p) the signed Leibniz rule, as (kind, evaluate) pairs."""
-    na, nb = pres.mono_str(ma), pres.mono_str(mb)
-    w = pres.weight
-    top_a, top_b = pres.mono_degree(ma) // w, pres.mono_degree(mb) // w
-    prod = pres.poly_mul({ma: 1}, {mb: 1})
-    homogeneous = len({pres.mono_degree(m) for m in prod}) <= 1
+    p) the signed Leibniz rule, for every pair of monomials within the
+    degree bound, one pass per pair.
 
-    def cartan(k: int):
-        lhs = _apply(pres, k, prod) if homogeneous else None
-        rhs: Poly = {}
-        # the terms with an index above a factor's top vanish
-        for i in range(max(0, k - top_b), min(k, top_a) + 1):
-            pres._mul_into(rhs, pres.op_mono(i, ma), pres.op_mono(k - i, mb))
-        return lhs, pres.reduce(rhs), f"{pres.op_name}^{k}({na} * {nb})"
+    The operation values of each monomial, and the left sides of each
+    product, come from lists kept for the sweep: filled in index order and
+    cut at the first undetermined value (a trailing None marks the cut;
+    every index past a list's end gives 0).  A pair's identities run in
+    index order; the first one that needs a value past a cut is skipped
+    with every later identity of the pair.
+    """
+    w, p = pres.weight, pres.p
+    degree = pres.mono_degree
+    values: dict[Mono, list] = {}
+    products: dict[tuple, tuple] = {}
 
-    def leibniz():
-        lhs = _apply(pres, None, prod)
-        sign = -1 if pres.mono_degree(ma) % 2 else 1
-        rhs = pres._mul_into({}, pres.beta_mono(ma), {mb: 1})
-        pres._mul_into(rhs, {ma: 1}, pres.beta_mono(mb), sign)
-        return lhs, pres.reduce(rhs), f"Leibniz fails on {na} * {nb}"
+    def values_of(m: Mono) -> list:
+        vals = values.get(m)
+        if vals is None:
+            vals = values[m] = []
+            try:
+                for k in range(degree(m) // w + 1):
+                    vals.append(pres.op_mono(k, m))
+            except Undetermined:
+                vals.append(None)
+        return vals
 
-    total = (pres.mono_degree(ma) + pres.mono_degree(mb)) // w
-    out = [("CARTAN", lambda k=k: cartan(k)) for k in range(total + 2)]
-    if pres.p != 2:
-        out.append(("BOCKSTEIN", leibniz))
-    return out
+    def at(vals: list, k: int) -> Poly:
+        return vals[k] if k < len(vals) else {}
+
+    def product_of(mono, sign: int, top: int) -> tuple:
+        """The reduced product and its left sides for the indices up to
+        ``top``; None for the sides when the product is inhomogeneous."""
+        prod = pres.reduce({} if mono is None else {mono: sign})
+        if len({degree(m) for m in prod}) > 1:
+            return prod, None
+        if len(prod) == 1 and 1 in prod.values():  # the sides are the monomial's values
+            return prod, values_of(next(iter(prod)))
+        lefts = []
+        for k in range(top + 1):
+            if any(at(values_of(m), k) is None for m in prod):
+                return prod, lefts + [None]
+            lefts.append(pres._linear(prod, lambda m: at(values_of(m), k)))
+        return prod, lefts
+
+    def cut(vals: list, stop: int) -> int:
+        """The index of the first undetermined value in ``vals``, if below ``stop``."""
+        return len(vals) - 1 if vals[-1] is None and len(vals) <= stop else stop
+
+    degrees = list(map(degree, monos))
+    pairs = (
+        (ma, da, mb, db)
+        for a, (ma, da) in enumerate(zip(monos, degrees))
+        for mb, db in zip(monos[a:], degrees[a:])
+        if da + db <= max_degree
+    )
+    for ma, da, mb, db in pairs:
+        total = (da + db) // w
+        sign, mono = pres._mul_mono(ma, mb)
+        key = (mono, sign)
+        if key not in products:
+            products[key] = product_of(mono, sign, total + 1)
+        prod, lefts = products[key]
+        if lefts is None:  # an inhomogeneous product: no identity of the pair evaluates
+            skipped["CARTAN"] += total + 2
+            skipped["BOCKSTEIN"] += p != 2
+            continue
+        va, vb = values_of(ma), values_of(mb)
+        stop = cut(lefts, cut(vb, cut(va, total + 2)))
+        # every right-hand side below the stop, bucketed by index
+        sides: list[Poly] = [{} for _ in range(stop)]
+        for i, fa in enumerate(va[:stop]):
+            if fa:
+                for j, fb in enumerate(vb[: stop - i]):
+                    if fb:
+                        pres._mul_into(sides[i + j], fa, fb)
+        for k, rhs in enumerate(sides):
+            rhs = pres.reduce(rhs)
+            lhs = at(lefts, k)
+            if lhs != rhs:
+                detail = f"{pres.op_name}^{k}({pres.mono_str(ma)} * {pres.mono_str(mb)})"
+                out.append(AxiomViolation("CARTAN", detail, pres.poly_str(lhs), pres.poly_str(rhs)))
+        checked["CARTAN"] += stop
+        if stop < total + 2:
+            skipped["CARTAN"] += total + 2 - stop
+            skipped["BOCKSTEIN"] += p != 2
+            continue
+        if p == 2:
+            continue
+        try:
+            lhs = pres._linear(prod, pres.beta_mono)
+            rhs = pres._mul_into({}, pres.beta_mono(ma), {mb: 1})
+            pres._mul_into(rhs, {ma: 1}, pres.beta_mono(mb), -1 if da % 2 else 1)
+        except Undetermined:
+            skipped["BOCKSTEIN"] += 1
+            continue
+        checked["BOCKSTEIN"] += 1
+        rhs = pres.reduce(rhs)
+        if lhs != rhs:
+            detail = f"Leibniz fails on {pres.mono_str(ma)} * {pres.mono_str(mb)}"
+            out.append(AxiomViolation("BOCKSTEIN", detail, pres.poly_str(lhs), pres.poly_str(rhs)))
 
 
 def axiom_report(pres: ModPRingPresentation, max_degree: int) -> AxiomReport:
@@ -780,29 +860,22 @@ def axiom_report(pres: ModPRingPresentation, max_degree: int) -> AxiomReport:
     _check_confluence(pres, max_degree, out)
     checked = dict.fromkeys(AXIOM_KINDS, 0)
     skipped = dict.fromkeys(AXIOM_KINDS, 0)
-
-    def run(identities) -> None:
+    monos = list(pres.monomials_up_to(max_degree))
+    for m in monos:
+        if not pres.reduce({m: 1}):
+            continue
+        identities = _unary_identities(pres, m)
         for pos, (kind, evaluate) in enumerate(identities):
             try:
                 lhs, rhs, detail = evaluate()
             except (Undetermined, Inhomogeneous):
                 for later, _ in identities[pos:]:
                     skipped[later] += 1
-                return
-            if lhs is None:  # the product is inhomogeneous
-                skipped[kind] += 1
-                continue
+                break
             checked[kind] += 1
             if lhs != rhs:
                 out.append(AxiomViolation(kind, detail, pres.poly_str(lhs), pres.poly_str(rhs)))
-
-    monos = list(pres.monomials_up_to(max_degree))
-    for m in monos:
-        if pres.reduce({m: 1}):
-            run(_unary_identities(pres, m))
-    for ma, mb in itertools.combinations_with_replacement(monos, 2):
-        if pres.mono_degree(ma) + pres.mono_degree(mb) <= max_degree:
-            run(_pair_identities(pres, ma, mb))
+    _check_pairs(pres, monos, max_degree, out, checked, skipped)
     return AxiomReport(out, checked, skipped)
 
 

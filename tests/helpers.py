@@ -184,3 +184,105 @@ def deadline(seconds: int, what: str):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def reference_axiom_report(pres, max_degree: int):
+    """The axiom sweep evaluated one identity at a time, each through its own
+    closure, as (violation strings, checked, skipped).  It shares the table,
+    relation and confluence checks with :func:`modtopo.steenrod.axiom_report`
+    and recomputes every Cartan and Leibniz side on its own."""
+    from itertools import combinations_with_replacement
+
+    from modtopo.errors import Inhomogeneous, Undetermined
+    from modtopo.steenrod import (
+        AXIOM_KINDS,
+        AxiomViolation,
+        RingElement,
+        _apply,
+        _check_confluence,
+        _check_relations,
+        _check_table_entries,
+    )
+
+    def unary_identities(m):
+        name = pres.mono_str(m)
+        two = pres.p == 2
+        d = pres.mono_degree(m)
+        top = d // pres.weight
+        beta = 1 if two else None  # Sq^1 is the Bockstein at p = 2
+
+        def instability(k):
+            bound = "the degree" if two else "half the degree"
+            return pres.op_mono(k, m), {}, f"{pres.op_name}^{k}({name}) should vanish above {bound}"
+
+        def squaring():
+            power = (RingElement(pres, {m: 1}) ** pres.p).poly
+            what = "square" if two else "p-th power"
+            return pres.op_mono(top, m), power, f"{pres.op_name}^{top}({name}) != {what}"
+
+        def beta_beta():
+            bb = _apply(pres, beta, _apply(pres, beta, {m: 1}))
+            return bb, {}, ("Sq^1 Sq^1" if two else "beta beta") + f" ({name}) != 0"
+
+        out = [("INSTABILITY", lambda k=k: instability(k)) for k in (top + 1, top + 2)]
+        if d % pres.weight == 0:
+            out.append(("SQUARING", squaring))
+        return out + [("BOCKSTEIN", beta_beta)]
+
+    def pair_identities(ma, mb):
+        na, nb = pres.mono_str(ma), pres.mono_str(mb)
+        w = pres.weight
+        top_a, top_b = pres.mono_degree(ma) // w, pres.mono_degree(mb) // w
+        prod = pres.poly_mul({ma: 1}, {mb: 1})
+        homogeneous = len({pres.mono_degree(m) for m in prod}) <= 1
+
+        def cartan(k):
+            lhs = _apply(pres, k, prod) if homogeneous else None
+            rhs = {}
+            for i in range(max(0, k - top_b), min(k, top_a) + 1):
+                pres._mul_into(rhs, pres.op_mono(i, ma), pres.op_mono(k - i, mb))
+            return lhs, pres.reduce(rhs), f"{pres.op_name}^{k}({na} * {nb})"
+
+        def leibniz():
+            lhs = _apply(pres, None, prod)
+            sign = -1 if pres.mono_degree(ma) % 2 else 1
+            rhs = pres._mul_into({}, pres.beta_mono(ma), {mb: 1})
+            pres._mul_into(rhs, {ma: 1}, pres.beta_mono(mb), sign)
+            return lhs, pres.reduce(rhs), f"Leibniz fails on {na} * {nb}"
+
+        total = (pres.mono_degree(ma) + pres.mono_degree(mb)) // w
+        out = [("CARTAN", lambda k=k: cartan(k)) for k in range(total + 2)]
+        if pres.p != 2:
+            out.append(("BOCKSTEIN", leibniz))
+        return out
+
+    out = []
+    _check_table_entries(pres, out)
+    _check_relations(pres, out)
+    _check_confluence(pres, max_degree, out)
+    checked = dict.fromkeys(AXIOM_KINDS, 0)
+    skipped = dict.fromkeys(AXIOM_KINDS, 0)
+
+    def run(identities):
+        for pos, (kind, evaluate) in enumerate(identities):
+            try:
+                lhs, rhs, detail = evaluate()
+            except (Undetermined, Inhomogeneous):
+                for later, _ in identities[pos:]:
+                    skipped[later] += 1
+                return
+            if lhs is None:  # the product is inhomogeneous
+                skipped[kind] += 1
+                continue
+            checked[kind] += 1
+            if lhs != rhs:
+                out.append(AxiomViolation(kind, detail, pres.poly_str(lhs), pres.poly_str(rhs)))
+
+    monos = list(pres.monomials_up_to(max_degree))
+    for m in monos:
+        if pres.reduce({m: 1}):
+            run(unary_identities(m))
+    for ma, mb in combinations_with_replacement(monos, 2):
+        if pres.mono_degree(ma) + pres.mono_degree(mb) <= max_degree:
+            run(pair_identities(ma, mb))
+    return [str(v) for v in out], checked, skipped
