@@ -1,9 +1,9 @@
 """Walk-through: twisted K-groups of circle bundles and T-duality.
 
-The closed-form table and the differential path (kernel mod image of the
-degree-3 differential, exact lattice arithmetic) are computed side by
-side; swapping the Chern class with the twist level swaps the two
-K-groups.
+The closed-form table and the differential path (the cellular cochains
+of the total space, read through the homology core, then the degree-3
+differential) are computed side by side; swapping the Chern class with
+the twist level swaps the two K-groups.
 """
 
 from modtopo import (

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd, prod
+from math import gcd
 from operator import attrgetter, mul
 
 from .errors import DimensionMismatch, InvalidInput, NotAComplex, NotASublattice
@@ -631,10 +631,6 @@ class FgAbGroup(FrozenValue):
     @property
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.invariant_factors
-
-    @property
-    def torsion_order(self) -> int:
-        return prod(self.invariant_factors)
 
     def primary_decomposition(self) -> tuple[int, ...]:
         """Prime-power cyclic orders (for display); rank is unchanged."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .abgroup import (
@@ -47,7 +48,7 @@ def _emit(doc) -> None:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        print(json.dumps(_big_ints_as_strings(doc), indent=2, sort_keys=True))
+        print(json.dumps(_big_ints_as_strings(doc), indent=2, sort_keys=True), flush=True)
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -304,20 +305,21 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        doc = args.handler(args)
+        try:
+            doc, status = args.handler(args), 0
+        except DomainError as exc:
+            print(f"error[{exc.code}]: {exc}", file=sys.stderr)
+            if not args.partial:
+                return 1
+            doc, status = {"error": exc.code, "message": str(exc)}, 1
+        _emit(doc)  # a closed stdout raises OSError here
     except _Usage as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"usage error: {exc!r}", file=sys.stderr)
         return 2
-    except DomainError as exc:
-        print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        if args.partial:
-            _emit({"error": exc.code, "message": str(exc)})
-        return 1
-    _emit(doc)
-    return 0
+    return status
 
 
 def self_test(argv: list[str] | None = None) -> int:
@@ -325,7 +327,16 @@ def self_test(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; what is left in the buffer goes to devnull, so
+        # the interpreter's flush at exit has nothing to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

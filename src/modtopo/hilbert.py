@@ -256,9 +256,6 @@ class HodgeSlice(FrozenValue):
     def total(self) -> int:
         return sum(self.entries.values())
 
-    def part_total(self, part: str) -> int:
-        return sum(v for (_, _, pt), v in self.entries.items() if pt == part)
-
     def to_json(self) -> dict:
         items = [
             {"p": p, "q": q, "part": part, "value": v}

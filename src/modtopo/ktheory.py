@@ -12,17 +12,16 @@ k, are computed along two independent routes:
 * :func:`k_groups` evaluates the closed forms: untwisted K^0/K^1 are the
   even/odd cohomology sums, twisted K^0 is H^2 and twisted K^1 is
   H^1 (+) H^3/kH^3.
-* :func:`k_groups_via_d3` runs the degree-3 differential d3 = Sq^3 + H-cup
-  on a presentation of H^even and H^odd and takes kernel mod image with
-  exact lattice arithmetic.  On these 3-manifolds the cup product with the
-  twist class is multiplication by k from H^0 into H^3 and zero elsewhere
-  (degree reasons), and Sq^3 acts as zero: it vanishes below degree 3 and
-  only ever hits 2-torsion, of which the relevant targets have none.
+* :func:`k_groups_via_d3` builds the cellular cochains of X from its
+  cells, reads H^* through the homology core, and runs the one
+  differential left on a complex of dimension <= 3: d3 = Sq^3 + H-cup,
+  which sends the unit of H^0 to the twist class in H^3 and is zero from
+  every other degree (its target lies above 3; Sq^3 vanishes below
+  degree 3).  It shares no formula with the closed forms.
 
-Interchanging j and k swaps the two K-groups (T-duality); associated
-graded groups are assembled as direct sums, which matches the closed
-forms but is an assumption in general (extension problems are not
-solved here).
+Interchanging j and k swaps the two K-groups (T-duality).  The groups are
+assembled as direct sums; on these spaces both extensions split, since
+the kernel inside H^0 and H^1 are free.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from .abgroup import (
     FgAbGroup,
     FrozenValue,
     IntMatrix,
-    integer_kernel_basis,
-    lattice_quotient,
+    cohomology_of_cochain_complex,
+    homology_of_complex,
     require_ints,
 )
 from .errors import InvalidDimension, NoUnitSummand
@@ -116,56 +115,48 @@ def k_groups(spec: CircleBundleSpec) -> KPair:
     )
 
 
-def _even_odd_presentations(spec: CircleBundleSpec):
-    """Generator counts, relation matrices and the cup-with-twist maps.
+def _circle_bundle_cochains(spec: CircleBundleSpec) -> list[IntMatrix]:
+    """Cellular coboundaries of the total space, degrees 0 -> 1 -> 2 -> 3.
 
-    H^even = H^0 (+) H^2 and H^odd = H^1 (+) H^3 are presented on free
-    generators with one relation |j| * t when the bundle is nontrivial.
-    The differential carries the H^0 generator onto k times the H^3
-    generator and kills everything else.
+    Cells: one 0-cell; the 1-cells a_i, b_i and the fibre f (last); the
+    2-cells a_i x f, b_i x f and the lifted base cell D (last), whose
+    boundary is j * f; one 3-cell.  Every other boundary is zero, so
+    delta^1 has the single entry j, from f to D.
     """
-    g, j, k = spec.genus, abs(spec.chern), spec.twist
-    free = 2 * g + 1 if j == 0 else 2 * g  # the rank of H^1 and of H^2's free part
-    ge = 1 + free + (1 if j != 0 else 0)  # x0, H^2 free gens, torsion gen
-    rel_e = (
-        IntMatrix.from_rows([[j] if i == ge - 1 else [0] for i in range(ge)], cols=1)
-        if j != 0
-        else IntMatrix.zeros(ge, 0)
-    )
-    go = free + 1  # H^1 free gens, then the H^3 generator
-    rel_o = IntMatrix.zeros(go, 0)
-    d_eo = IntMatrix.from_rows(
-        [[k if (r == go - 1 and c == 0) else 0 for c in range(ge)] for r in range(go)],
-        cols=ge,
-    )
-    d_oe = IntMatrix.zeros(ge, go)
-    return rel_e, rel_o, d_eo, d_oe
+    n = 2 * spec.genus + 1
+    delta1 = [0] * (n * n)
+    delta1[-1] = spec.chern
+    return [IntMatrix.zeros(n, 1), IntMatrix(n, n, tuple(delta1)), IntMatrix.zeros(1, n)]
 
 
-def _subquotient(
-    d_fwd: IntMatrix, rel_tgt: IntMatrix, d_back: IntMatrix, rel_src: IntMatrix
-) -> FgAbGroup:
-    """ker(d_fwd mod rel_tgt) / (im d_back + rel_src), by lattice algebra."""
-    lifted = integer_kernel_basis(d_fwd.hstack(rel_tgt))
-    # the kernel's first d_fwd.cols coordinates lie in the source
-    span = IntMatrix(d_fwd.cols, lifted.cols, lifted.entries[: d_fwd.cols * lifted.cols])
-    return lattice_quotient(span, d_back.hstack(rel_src))
+def _twisted_k_of_dim3(coboundaries: list[IntMatrix], h: IntMatrix) -> KPair:
+    """K-groups of a connected cochain complex of dimension <= 3, twisted by
+    the 3-cocycle ``h`` (one column over the 3-cells).
+
+    Here the Atiyah-Hirzebruch spectral sequence has only d3, which sends
+    the unit of H^0 to [h] and is zero elsewhere (Rosenberg 1989).  So
+    K^0 = ker(d3 on H^0) (+) H^2 and K^1 = H^1 (+) C^3 / (im delta^2 + <h>);
+    both extensions split, as the kernel in H^0 and H^1 are free.  The
+    kernel is Z when n * h lies in im delta^2 for some n != 0, that is when
+    dividing H^3 by [h] leaves its rank unchanged, and 0 otherwise.
+    """
+    h_star = cohomology_of_cochain_complex(coboundaries)
+    quotient = homology_of_complex([coboundaries[2].hstack(h)])[0]  # the cokernel
+    unit = FgAbGroup.free(int(quotient.rank == h_star[3].rank))
+    return KPair(unit.direct_sum(h_star[2]), h_star[1].direct_sum(quotient))
 
 
 def k_groups_via_d3(spec: CircleBundleSpec) -> KPair:
-    """K-groups from the degree-3 differential, computed by kernel/image.
+    """K-groups from the cellular cochains of the total space and d3.
 
-    K^0 = Ker(d: H^even -> H^odd) / d(H^odd) and symmetrically for K^1,
-    with d the cup product by the twist class (multiplication by k from
-    H^0 to H^3) and a vanishing Sq^3 contribution.  The twist-0 case is
-    the zero differential and reproduces the untwisted sums; no case split
-    on k or j happens here, which is what makes this an independent check
-    of :func:`k_groups`.
+    The cochains are built from the cells (:func:`_circle_bundle_cochains`),
+    their cohomology goes through the homology core, and the twist class is
+    k times the dual of the 3-cell.  Nothing here reads the closed form of
+    :func:`total_space_cohomology`, which is what makes this an independent
+    check of :func:`k_groups`.
     """
-    rel_e, rel_o, d_eo, d_oe = _even_odd_presentations(spec)
-    k0 = _subquotient(d_eo, rel_o, d_oe, rel_e)
-    k1 = _subquotient(d_oe, rel_e, d_eo, rel_o)
-    return KPair(k0, k1)
+    twist = IntMatrix(1, 1, (spec.twist,))
+    return _twisted_k_of_dim3(_circle_bundle_cochains(spec), twist)
 
 
 def t_duality_check(spec: CircleBundleSpec) -> bool:

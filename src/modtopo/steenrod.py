@@ -491,11 +491,6 @@ class RingElement:
         return not self.poly
 
     @property
-    def is_homogeneous(self) -> bool:
-        degs = {self.pres.mono_degree(m) for m in self.poly}
-        return len(degs) <= 1
-
-    @property
     def degree(self) -> int | None:
         """Common degree of the terms; None for the zero element."""
         degs = {self.pres.mono_degree(m) for m in self.poly}
@@ -862,8 +857,6 @@ def axiom_report(pres: ModPRingPresentation, max_degree: int) -> AxiomReport:
     skipped = dict.fromkeys(AXIOM_KINDS, 0)
     monos = list(pres.monomials_up_to(max_degree))
     for m in monos:
-        if not pres.reduce({m: 1}):
-            continue
         identities = _unary_identities(pres, m)
         for pos, (kind, evaluate) in enumerate(identities):
             try:

@@ -51,10 +51,16 @@ EXPORTED = {
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names.split()]
 
 
-def python(*args, stdin=""):
+def python(*args, stdin="", stdout=subprocess.PIPE):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, *args], input=stdin, capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args],
+        input=stdin,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        timeout=60,
     )
 
 
@@ -169,3 +175,21 @@ def test_cli_output_of_every_branch_is_unchanged(case, capsys, monkeypatch):
     assert code == case["exit"]
     assert captured.out == case["stdout"]
     assert captured.err == case["stderr"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hilbert", "--n", "12", "--h", "1", "--hodge"], ["self-test", "--max-genus", "0"]],
+    ids=["hilbert", "self-test"],
+)
+def test_a_closed_stdout_is_a_usage_error_without_a_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)  # no reader left: the first write fails with EPIPE
+    try:
+        proc = python("-m", "modtopo.cli", *argv, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.stderr.count("usage error") == 1

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from modtopo.abgroup import FgAbGroup
+from modtopo.abgroup import FgAbGroup, IntMatrix, dual_complex
 from modtopo.errors import InvalidDimension, NoUnitSummand
-from modtopo.graded import betti
+from modtopo.graded import betti, tensor_product_complex
 from modtopo.ktheory import (
     CircleBundleSpec,
     KPair,
@@ -17,6 +17,7 @@ from modtopo.ktheory import (
     torus_k_groups,
     total_space_cohomology,
 )
+from modtopo.ktheory import _twisted_k_of_dim3
 
 Z = FgAbGroup.free
 
@@ -112,6 +113,30 @@ def test_d3_path_equivalence_sweep():
             for k in range(6):
                 spec = CircleBundleSpec(g, j, k)
                 assert k_groups_via_d3(spec) == k_groups(spec), (g, j, k)
+
+
+@pytest.mark.parametrize("p", [1, -1, 2, 3, 5, -4])
+@pytest.mark.parametrize("k", range(5))
+def test_d3_path_lens_spaces(p, k):
+    # L(|p|, 1) has H^* = Z, 0, Z/|p|, Z; p = +-1 is S^3, with K^0 = 0 and
+    # K^1 = Z/k once twisted
+    want = KPair(free_and(int(k == 0), abs(p)), free_and(0, k))
+    assert k_groups_via_d3(CircleBundleSpec(0, p, k)) == want
+
+
+@pytest.mark.parametrize(
+    "circle",
+    [[IntMatrix.zeros(1, 1)], [IntMatrix.from_rows([[-1, 1], [1, -1]])]],
+    ids=["two-cell", "two-vertex"],
+)
+@pytest.mark.parametrize("k", range(4))
+def test_cellular_three_torus(circle, k):
+    # T^3 twisted by k times a generator of H^3 (Bouwknegt, Evslin, Mathai 2004)
+    torus = tensor_product_complex(tensor_product_complex(circle, circle), circle)
+    top = torus[2].cols
+    h = IntMatrix(top, 1, (k,) + (0,) * (top - 1))
+    got = _twisted_k_of_dim3(dual_complex(torus), h)
+    assert got == KPair(Z(3 + (k == 0)), free_and(3, k))
 
 
 # -- t-duality ---------------------------------------------------------------
