@@ -721,122 +721,53 @@ class FgAbGroup(FrozenValue):
 # Homology of chain complexes
 
 
-def _validate_complex(boundaries: list[IntMatrix], sparse: list[list[dict[int, int]]]) -> None:
-    """Check d o d = 0 by accumulating each row of the product over nonzeros."""
-    for i in range(len(boundaries) - 1):
-        if boundaries[i].cols != boundaries[i + 1].rows:
-            raise DimensionMismatch(
-                f"boundary {i + 2} has {boundaries[i + 1].rows} rows but boundary "
-                f"{i + 1} has {boundaries[i].cols} columns"
-            )
-        inner = sparse[i + 1]
-        for row in sparse[i]:
-            acc: dict[int, int] = {}
-            for k, a in row.items():
-                for j, b in inner[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            if any(acc.values()):
-                raise NotAComplex(f"boundary {i + 1} o boundary {i + 2} is nonzero")
-
-
-def _cancel_units(sparse: list[list[dict[int, int]]], dims: list[int]):
-    """Cancel every pair of cells joined by a unit entry; return the
-    residue's boundaries (as row dicts) and chain ranks.
-
-    ``sparse[m]`` holds the rows of boundary m (m-cells by (m+1)-cells).
-    For a unit u at row t, column s, clearing column s with row t is a
-    change of basis of the m-chains that puts d(s) in place of t; then s
-    and d(s) span an acyclic summand, so row t and column s of boundary m,
-    column t of boundary m-1 and row s of boundary m+1 go, and the
-    homology, torsion included, is unchanged (the reduction lemma of
-    Kaczynski, Mischaikow and Mrozek, Computational Homology, 2004).
-    Deletions create no units, so each boundary is cleared once, in order.
-    The residue's rows are re-indexed over the surviving cells.
-    """
-    dead: list[set[int]] = [set() for _ in dims]
-    supports = []  # column -> rows holding an entry, per boundary
-    for m, rows in enumerate(sparse):
-        cols: list[set[int]] = [set() for _ in range(dims[m + 1])]
-        for i, row in enumerate(rows):
-            for j in row:
-                cols[j].add(i)
-        supports.append(cols)
-    for m, rows in enumerate(sparse):
-        cols = supports[m]
-        todo = [i for i, row in enumerate(rows) if row]
-        while todo:
-            t = todo.pop()
-            row = rows[t]
-            s = None  # the unit whose column has the fewest entries
-            for j, v in row.items():
-                if (v == 1 or v == -1) and (s is None or len(cols[j]) < len(cols[s])):
-                    s = j
-            if s is None:
-                continue
-            u = row[s]
-            for k in [k for k in cols[s] if k != t]:
-                rk = rows[k]
-                q = rk[s] * u
-                for j, v in row.items():
-                    w = rk.get(j)
-                    if w is None:
-                        rk[j] = -q * v
-                        cols[j].add(k)
-                    elif w != q * v:
-                        rk[j] = w - q * v
-                    else:
-                        del rk[j]
-                        cols[j].discard(k)
-                todo.append(k)
-            for j in row:
-                cols[j].discard(t)
-            rows[t] = {}
-            dead[m].add(t)
-            dead[m + 1].add(s)
-            if m:  # column t of boundary m-1
-                below, below_cols = sparse[m - 1], supports[m - 1]
-                for i in below_cols[t]:
-                    del below[i][t]
-                below_cols[t] = set()
-            if m + 1 < len(sparse):  # row s of boundary m+1
-                above, above_cols = sparse[m + 1], supports[m + 1]
-                for j in above[s]:
-                    above_cols[j].discard(s)
-                above[s] = {}
-    index = [
-        {c: n for n, c in enumerate(c for c in range(dim) if c not in gone)}
-        for dim, gone in zip(dims, dead)
-    ]
-    residue = [
-        [{index[m + 1][j]: v for j, v in rows[i].items()} for i in index[m]]
-        for m, rows in enumerate(sparse)
-    ]
-    return residue, [len(ix) for ix in index]
-
-
 def homology_of_complex(boundaries: list[IntMatrix]) -> list[FgAbGroup]:
     """Homology groups of an integer chain complex.
 
     ``boundaries[m]`` is the map from (m+1)-chains to m-chains, so the
     complex has len(boundaries) + 1 degrees; a complex concentrated in a
     single degree k is expressed by a k x 0 boundary.  Returns H_m in
-    canonical form for every degree:
+    canonical form for every degree.
 
-        H_m = Z^(dim_m - rank d_m - rank d_(m+1))  (+)  torsion(d_(m+1)),
+    One pass along the complex: with U A V = D the elimination of the
+    previous boundary A (as presented on the cycles below it), replaying
+    its column log onto the rows of the next boundary B gives V^-1 B.
+    D V^-1 B = U A B, so the rows of V^-1 B at A's pivot columns vanish
+    exactly when A B = 0 (NotAComplex otherwise), and the other rows
+    present B on the cycles of A.  So
 
-    the torsion read off the invariant factors of the incoming boundary.
-    Unit pairs are cancelled first (:func:`_cancel_units`), and the formula
-    is applied to the residue; only ranks and invariant factors are
-    needed, so no transforms are built.
+        H_m = Z^(cycles_m - rank d_(m+1))  (+)  torsion(d_(m+1) on cycles_m),
+
+    the top degree is Z^cycles, and every elimination runs through
+    :func:`_eliminate`, building no transforms.
     """
-    if not boundaries:
-        return []
-    sparse = [_sparse_rows(b) for b in boundaries]
-    _validate_complex(boundaries, sparse)
-    residue, dims = _cancel_units(sparse, [boundaries[0].rows] + [b.cols for b in boundaries])
-    diags = [_eliminate(rows, dims[m + 1])[0] for m, rows in enumerate(residue)] + [()]
-    ranks = [0] + [len(dg) - dg.count(0) for dg in diags]
-    return [_cokernel(dim - ranks[m], diags[m]) for m, dim in enumerate(dims)]
+    groups: list[FgAbGroup] = []
+    pivots: list[tuple[int, int, int]] = []
+    cops: list[tuple[int, int, int]] = []
+    for m, b in enumerate(boundaries):
+        if m and b.rows != boundaries[m - 1].cols:
+            raise DimensionMismatch(
+                f"boundary {m + 1} has {b.rows} rows but boundary "
+                f"{m} has {boundaries[m - 1].cols} columns"
+            )
+        rows = _sparse_rows(b)
+        for l, j, q in cops:  # row j += q * row l undoes col l -= q * col j
+            rl, rj = rows[l], rows[j]
+            for c, v in rl.items():
+                w = rj.get(c, 0) + q * v
+                if w:
+                    rj[c] = w
+                else:
+                    del rj[c]
+        bounded = {j for _, j, _ in pivots}
+        if any(rows[j] for j in bounded):
+            raise NotAComplex(f"boundary {m} o boundary {m + 1} is nonzero")
+        rows = [row for j, row in enumerate(rows) if j not in bounded]
+        diag, pivots, _, cops = _eliminate(rows, b.cols)
+        groups.append(_cokernel(len(rows), diag))
+    if boundaries:
+        groups.append(FgAbGroup.free(boundaries[-1].cols - len(pivots)))
+    return groups
 
 
 def cohomology_of_cochain_complex(coboundaries: list[IntMatrix]) -> list[FgAbGroup]:

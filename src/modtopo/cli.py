@@ -61,12 +61,20 @@ def _nonneg(value: str) -> int:
     return n
 
 
+def _parse(text: str):
+    # the decoder recurses once per nesting level
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise _Usage("the JSON document is nested too deeply") from None
+
+
 def _load_doc(args) -> dict:
     if getattr(args, "json", None):
         with open(args.json, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _parse(fh.read())
     elif not sys.stdin.isatty() and (data := sys.stdin.read()).strip():
-        doc = json.loads(data)
+        doc = _parse(data)
     else:
         raise _Usage("this subcommand needs a JSON document (--json FILE or stdin)")
     return json_shape(doc, dict, "the document")
@@ -121,7 +129,7 @@ def _hilbert_spec(args):
         raise _Usage("congruence quotients need --h (cusp count)")
     if args.cusp_dims:
         with open(args.cusp_dims, "r", encoding="utf-8") as fh:
-            table = cusp_dims_from_json(json.load(fh))
+            table = cusp_dims_from_json(_parse(fh.read()))
         return CuspidalHilbertSpec(args.n, args.h, table)
     return CuspidalHilbertSpec.uniform(args.n, args.h, args.uniform_cusp_dim)
 

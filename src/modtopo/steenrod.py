@@ -63,6 +63,32 @@ class AxiomViolation(FrozenValue):
         return core
 
 
+def _memoized(cache: dict, key, step) -> Poly:
+    """``cache[key]``, computed by the generator ``step(key)`` on a miss.
+
+    A step yields the keys whose values it needs, receives each value,
+    and returns its own.  Steps that wait on one another stand on an
+    explicit stack, so a recursion that peels one generator factor per
+    level needs no interpreter frame per level; the steps run in the
+    order the recursive calls would, so values, memo entries and the
+    first exception raised are the recursion's.
+    """
+    value = cache.get(key)
+    stack = [] if value is not None else [(key, step(key))]
+    while stack:
+        key, frame = stack[-1]
+        try:
+            need = frame.send(value)
+        except StopIteration as done:
+            stack.pop()
+            cache[key] = value = done.value
+            continue
+        value = cache.get(need)
+        if value is None:
+            stack.append((need, step(need)))
+    return value
+
+
 class ModPRingPresentation:
     """Generators, relations, and operation values of a mod-p ring.
 
@@ -352,40 +378,34 @@ class ModPRingPresentation:
 
     def op_mono(self, k: int, mono: Mono) -> Poly:
         """Sq^k (p = 2) or St^k (odd p) of a monomial, memoized."""
-        key = (k, mono)
-        hit = self._op_cache.get(key)
-        if hit is not None:
-            return hit
+        return _memoized(self._op_cache, (k, mono), self._op_step)
+
+    def _op_step(self, key):
+        k, mono = key
         if k == 0:
-            out = self.reduce({mono: 1})
-        elif not any(mono):
-            out = {}
-        else:
-            idx, rest = self._split(mono)
-            acc: Poly = {}
-            # Cartan, with the terms that vanish on the generator left out
-            for i in range(min(k, self.degrees[idx] // self.weight) + 1):
-                partner = self.op_mono(k - i, rest)
-                if partner:  # keep undetermined values lazy
-                    self._mul_into(acc, self._gen_value(i, idx), partner)
-            out = self.reduce(acc)
-        self._op_cache[key] = out
-        return out
+            return self.reduce({mono: 1})
+        if not any(mono):
+            return {}
+        idx, rest = self._split(mono)
+        acc: Poly = {}
+        # Cartan, with the terms that vanish on the generator left out
+        for i in range(min(k, self.degrees[idx] // self.weight) + 1):
+            partner = yield (k - i, rest)
+            if partner:  # keep undetermined values lazy
+                self._mul_into(acc, self._gen_value(i, idx), partner)
+        return self.reduce(acc)
 
     def beta_mono(self, mono: Mono) -> Poly:
-        hit = self._beta_cache.get(mono)
-        if hit is not None:
-            return hit
+        return _memoized(self._beta_cache, mono, self._beta_step)
+
+    def _beta_step(self, mono: Mono):
         if not any(mono):
-            out: Poly = {}
-        else:
-            idx, rest = self._split(mono)
-            acc = self._mul_into({}, self._beta_gen(idx), self.reduce({rest: 1}))
-            sign = -1 if self.degrees[idx] % 2 else 1
-            gen = self.reduce({self._power_mono(idx, 1): 1})
-            out = self.reduce(self._mul_into(acc, gen, self.beta_mono(rest), sign))
-        self._beta_cache[mono] = out
-        return out
+            return {}
+        idx, rest = self._split(mono)
+        acc = self._mul_into({}, self._beta_gen(idx), self.reduce({rest: 1}))
+        sign = -1 if self.degrees[idx] % 2 else 1
+        gen = self.reduce({self._power_mono(idx, 1): 1})
+        return self.reduce(self._mul_into(acc, gen, (yield rest), sign))
 
     # -- monomial enumeration -------------------------------------------------
 

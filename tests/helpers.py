@@ -16,7 +16,9 @@ from modtopo.abgroup import (
     homology_of_complex,
     integer_kernel_basis,
     lattice_quotient,
+    smith_normal_form,
 )
+from modtopo.errors import DimensionMismatch, NotAComplex
 
 
 def cofactor_det(rows):
@@ -167,6 +169,39 @@ def random_composable_complex(rng, degrees=3, max_cells=5, lo=-3, hi=3):
         mix = random_matrix(rng, ker.cols, dims[m + 1], -2, 2)
         boundaries.append(ker @ mix if ker.cols else IntMatrix.zeros(dims[m], dims[m + 1]))
     return boundaries
+
+
+def reference_homology(boundaries):
+    """Homology by the two-pass route: every d o d product is checked first,
+    each row accumulated over the nonzeros, and then
+
+        H_m = Z^(dim_m - rank d_m - rank d_(m+1))  (+)  torsion(d_(m+1))
+
+    from each boundary's own Smith diagonal."""
+    if not boundaries:
+        return []
+    sparse = [[{j: v for j, v in enumerate(b.row(i)) if v} for i in range(b.rows)] for b in boundaries]
+    for i in range(len(boundaries) - 1):
+        if boundaries[i].cols != boundaries[i + 1].rows:
+            raise DimensionMismatch(
+                f"boundary {i + 2} has {boundaries[i + 1].rows} rows but boundary "
+                f"{i + 1} has {boundaries[i].cols} columns"
+            )
+        inner = sparse[i + 1]
+        for row in sparse[i]:
+            acc = {}
+            for k, a in row.items():
+                for j, b in inner[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if any(acc.values()):
+                raise NotAComplex(f"boundary {i + 1} o boundary {i + 2} is nonzero")
+    dims = [boundaries[0].rows] + [b.cols for b in boundaries]
+    diags = [smith_normal_form(b).diagonal for b in boundaries] + [()]
+    ranks = [0] + [sum(1 for d in dg if d) for dg in diags]
+    return [
+        FgAbGroup.from_divisors(*(d for d in diags[m] if d > 1), *[0] * (dim - ranks[m] - ranks[m + 1]))
+        for m, dim in enumerate(dims)
+    ]
 
 
 @contextmanager

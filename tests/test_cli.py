@@ -479,3 +479,23 @@ def test_oversized_cusp_table_is_domain_error_without_allocating(capsys, tmp_pat
     assert code == 1
     assert out == ""
     assert "INVALID_INPUT" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["stdin", "--json", "--cusp-dims"])
+def test_a_deeply_nested_document_is_a_usage_error(capsys, monkeypatch, tmp_path, source):
+    import io
+    import sys as _sys
+
+    text = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    argv = {
+        "stdin": ("group",),
+        "--json": ("group", "--json", str(path)),
+        "--cusp-dims": ("hilbert", "--n", "2", "--h", "1", "--cusp-dims", str(path)),
+    }[source]
+    monkeypatch.setattr(_sys, "stdin", io.StringIO(text))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error") and "Traceback" not in err

@@ -193,3 +193,33 @@ def test_a_closed_stdout_is_a_usage_error_without_a_traceback(argv):
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
     assert proc.stderr.count("usage error") == 1
+
+
+def evaluation(p, generators, ops, op, power):
+    gens = [{"name": name, "degree": d} for name, d in generators]
+    element = [{"coeff": 1, "monomial": power}]
+    return {"presentation": {"p": p, "generators": gens, "ops": ops}, "evaluate": {"op": op, "element": element}}
+
+
+# Sq^1 x^1500 at p = 2, and beta v^1200 on the mod-3 cohomology of L^inf(3)
+DEEP_EVALUATIONS = {
+    "sq": evaluation(2, [("x", 1)], [], "Sq1", {"x": 1500}),
+    "beta": evaluation(
+        3,
+        [("u", 1), ("v", 2)],
+        [
+            {"op": "beta", "gen": "u", "value": [{"coeff": 1, "monomial": {"v": 1}}]},
+            {"op": "beta", "gen": "v", "value": []},
+        ],
+        "beta",
+        {"v": 1200},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_EVALUATIONS)
+def test_an_operation_on_a_high_power_answers_without_a_traceback(name):
+    proc = python("-m", "modtopo.cli", "steenrod", stdin=json.dumps(DEEP_EVALUATIONS[name]))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout) == {"rendered": "0", "value": []}

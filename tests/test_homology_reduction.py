@@ -1,9 +1,9 @@
-"""homology_of_complex, which cancels unit pairs before elimination, against
-the homology formula applied to every boundary's Smith diagonal.
+"""homology_of_complex, one elimination pass along the complex, against
+the homology formula applied to every boundary's own Smith diagonal.
 
 Random complexes, and their tensor products with a lens space, RP^2 and a
-two-cell circle, give unit pivots, non-unit pivots and cancellations that
-delete cells of the neighbouring boundaries.
+two-cell circle, give unit pivots, non-unit pivots and column operations
+that the pass replays onto the next boundary.
 """
 
 import random

@@ -187,6 +187,21 @@ def test_bockstein_odd_p_leibniz_extension():
     assert bockstein(a * u) == u * u
 
 
+def test_cartan_and_bockstein_depth_does_not_grow_with_the_exponent():
+    # each level of the recursions peels one generator factor, and these
+    # exponents lie far beyond the interpreter's frame limit
+    x = poly_ring_p2(("x", 1)).gen("x")
+    assert sq(1, x**5001) == x**5002  # C(5001, 1) is odd
+    assert sq(2, x**5002) == x**5004  # C(5002, 2) is odd
+    assert sq(2, x**5001).is_zero  # C(5001, 2) is even
+    lens = ModPRingPresentation(
+        3, [("u", 1), ("v", 2)], operations={("beta", "u"): [(1, {"v": 1})], ("beta", "v"): 0}
+    )
+    u, v = lens.gen("u"), lens.gen("v")
+    assert bockstein(u * v**5000) == v**5001
+    assert bockstein(v**5000).is_zero
+
+
 def test_w3_from_w2():
     pres = ModPRingPresentation(
         2,
