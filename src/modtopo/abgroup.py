@@ -36,6 +36,11 @@ from .errors import DimensionMismatch, InvalidInput, NotAComplex, NotASublattice
 # (Sorenson and Webster, Math. Comp. 86, 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
+# a matrix document lists rows * cols entries, so only a zero side names a
+# large shape for free; a side above this is refused
+MAX_MATRIX_SIDE = 2**16
+# the Smith transforms left and right hold rows^2 + cols^2 entries
+MAX_TRANSFORM_ENTRIES = 2**22
 
 
 def is_prime(n: int) -> bool:
@@ -226,7 +231,10 @@ class IntMatrix(FrozenValue):
     def from_json(cls, doc: dict) -> "IntMatrix":
         json_shape(doc, dict, "a matrix")
         entries = json_shape(doc["entries"], list, "matrix entries")
-        return cls(as_int(doc["rows"]), as_int(doc["cols"]), tuple(map(as_int, entries)))
+        rows, cols = as_int(doc["rows"]), as_int(doc["cols"])
+        if max(rows, cols) > MAX_MATRIX_SIDE:
+            raise InvalidInput(f"a matrix side is at most {MAX_MATRIX_SIDE}; got {rows} x {cols}")
+        return cls(rows, cols, tuple(map(as_int, entries)))
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -442,8 +450,13 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     Returns diagonal entries satisfying the divisibility chain d1 | d2 | ...
     (then zeros) together with unimodular transforms reconstructing the
     input as left @ diag @ right.  See :func:`_eliminate` for the pivot
-    strategy; exactness is the contract.
+    strategy; exactness is the contract.  A shape whose transforms would
+    hold more than ``MAX_TRANSFORM_ENTRIES`` entries is refused.
     """
+    if m.rows**2 + m.cols**2 > MAX_TRANSFORM_ENTRIES:
+        raise InvalidInput(
+            f"the transforms of a {m.rows} x {m.cols} matrix exceed {MAX_TRANSFORM_ENTRIES} entries"
+        )
     diag, pivots, rops, cops = _eliminate(_sparse_rows(m), m.cols)
     # rows of left_inv, left^T, right and right_inv^T
     li = _replay(rops, _eye(m.rows))

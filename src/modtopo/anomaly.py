@@ -94,9 +94,6 @@ class CohomologyElement(FrozenValue):
             tuple(-v for v in self.torsion_coords),
         )
 
-    def order_divides_two(self) -> bool:
-        return (self + self).is_zero
-
     def to_json(self) -> dict:
         return {
             "free": list(self.free_coords),

@@ -138,16 +138,16 @@ def _cmd_hilbert(args):
     from .hilbert import CompactHilbertSpec, betti_total, compact_implied_volume, hodge_slice
 
     spec = _hilbert_spec(args)
-    bettis = [betti_total(spec, m) for m in range(2 * spec.n + 1)]
+    degrees = range(2 * spec.n + 1)
+    bettis = [betti_total(spec, m) for m in degrees]
     if args.betti and not args.hodge:
         return bettis
-    slices = [hodge_slice(spec, m).to_json() for m in range(2 * spec.n + 1)]
-    if args.hodge and not args.betti:
-        return {"spec": spec.to_json(), "hodge": slices}
-    if args.hodge and args.betti:
-        return {"spec": spec.to_json(), "betti": bettis, "hodge": slices}
-    doc = {"spec": spec.to_json(), "betti": bettis}
-    if isinstance(spec, CompactHilbertSpec):
+    doc = {"spec": spec.to_json()}
+    if args.betti or not args.hodge:
+        doc["betti"] = bettis
+    if args.hodge:
+        doc["hodge"] = [hodge_slice(spec, m).to_json() for m in degrees]
+    elif isinstance(spec, CompactHilbertSpec):
         doc["implied_volume"] = str(compact_implied_volume(spec))
     return doc
 
@@ -235,10 +235,7 @@ def _cmd_steenrod(args) -> dict:
 def _cmd_self_test(args):
     from .selftest import hodge_sum_sweep, k_path_sweep
 
-    reports = [
-        k_path_sweep(max_genus=args.max_genus, inject_fault=args.inject_fault),
-        hodge_sum_sweep(inject_fault=args.inject_fault),
-    ]
+    reports = [k_path_sweep(max_genus=args.max_genus), hodge_sum_sweep()]
     for rep in reports:
         print(f"[{'pass' if rep.ok else 'FAIL'}] {rep.summary()}", file=sys.stderr)
     failed = [f"{r.name}: {len(r.failures)} of {r.cases} cases failed" for r in reports if not r.ok]
@@ -300,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("self-test", help="run the built-in cross-check sweeps")
     p.add_argument("--max-genus", type=_nonneg, default=4, dest="max_genus")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_self_test)
 
     return parser
@@ -328,10 +324,6 @@ def run(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc!r}", file=sys.stderr)
         return 2
     return status
-
-
-def self_test(argv: list[str] | None = None) -> int:
-    return run(["self-test", *(argv or [])])
 
 
 def main() -> None:

@@ -116,14 +116,6 @@ class CuspidalHilbertSpec(FrozenValue):
     def uniform(cls, n: int, num_cusps: int, dim: int) -> "CuspidalHilbertSpec":
         return cls(n, num_cusps, dict.fromkeys(_subsets(n), dim))
 
-    @classmethod
-    def by_cardinality(
-        cls, n: int, num_cusps: int, dims: dict[int, int]
-    ) -> "CuspidalHilbertSpec":
-        """Fill cusp_dims from a per-cardinality table {#b: dim}."""
-        table = {b: dims.get(b.bit_count(), 0) for b in _subsets(n)}
-        return cls(n, num_cusps, table)
-
     def dims_by_cardinality(self, size: int) -> int:
         return self._by_size[size] if 0 <= size <= self.n else 0
 

@@ -34,7 +34,7 @@ from .abgroup import (
     homology_of_complex,
     require_ints,
 )
-from .errors import InvalidDimension, NoUnitSummand
+from .errors import InvalidDimension, InvalidInput, NoUnitSummand
 from .graded import GradedCohomology
 
 
@@ -88,12 +88,8 @@ def total_space_cohomology(spec: CircleBundleSpec) -> GradedCohomology:
         mid = FgAbGroup.free(2 * g + 1)
         groups = (z, mid, mid, z)
     else:
-        groups = (
-            z,
-            FgAbGroup.free(2 * g),
-            FgAbGroup.from_divisors(*([0] * (2 * g)), j),
-            z,
-        )
+        h1 = FgAbGroup.free(2 * g)
+        groups = (z, h1, h1.direct_sum(FgAbGroup.cyclic(j)), z)
     return GradedCohomology(groups, f"circle bundle g={g} j={spec.chern}")
 
 
@@ -113,6 +109,10 @@ def k_groups(spec: CircleBundleSpec) -> KPair:
         h.group_at(2),
         h.group_at(1).direct_sum(FgAbGroup.cyclic(spec.twist)),
     )
+
+
+# delta^1 is a dense (2g + 1)^2 matrix; this genus keeps it within 2^24 entries
+MAX_D3_GENUS = 2047
 
 
 def _circle_bundle_cochains(spec: CircleBundleSpec) -> list[IntMatrix]:
@@ -153,8 +153,11 @@ def k_groups_via_d3(spec: CircleBundleSpec) -> KPair:
     their cohomology goes through the homology core, and the twist class is
     k times the dual of the 3-cell.  Nothing here reads the closed form of
     :func:`total_space_cohomology`, which is what makes this an independent
-    check of :func:`k_groups`.
+    check of :func:`k_groups`.  A genus above ``MAX_D3_GENUS`` is refused
+    before anything is built.
     """
+    if spec.genus > MAX_D3_GENUS:
+        raise InvalidInput(f"the d3 path takes genus <= {MAX_D3_GENUS}; got {spec.genus}")
     twist = IntMatrix(1, 1, (spec.twist,))
     return _twisted_k_of_dim3(_circle_bundle_cochains(spec), twist)
 

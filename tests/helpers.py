@@ -7,6 +7,7 @@ free-resolution complexes rather than the per-factor gcd formulas.
 """
 
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
 
@@ -219,6 +220,19 @@ def deadline(seconds: int, what: str):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextmanager
+def allocation_cap(limit: int, what: str):
+    """Fail if the Python allocations made in the block peak above ``limit``
+    bytes, so a size guard is seen to fire before anything is built."""
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak <= limit, f"{what}: {peak} bytes allocated"
 
 
 def reference_axiom_report(pres, max_degree: int):

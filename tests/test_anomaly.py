@@ -125,7 +125,7 @@ def test_freed_witten_all_order_two_elements_cancel():
                 for i, d in enumerate(g.invariant_factors)
             ]
             t = elem(g, (0,) * g.rank, tors)
-            if t.order_divides_two():
+            if (t + t).is_zero:
                 assert freed_witten_check(t, t).anomaly_free
 
 

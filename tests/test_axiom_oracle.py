@@ -75,6 +75,9 @@ def presentations(draw):
 @example((3, [("u", 2), ("v", 4)], [[(1, {"u": 2}), (2, {"v": 1})]], {("St", 1, "v"): [(1, {"v": 2})], ("beta", "u"): 0}, 7))
 # Sq^1 and Sq^2 of y are missing: the pairs through y skip from the first gap on
 @example((2, [("x", 2), ("y", 3)], [], {}, 7))
+# x^2 reduces to xy + y^2, and Sq^1 y is missing: the left sides of a
+# product of several monomials stop at the first undetermined value
+@example((2, [("x", 2), ("y", 2)], [[(1, {"x": 2}), (1, {"x": 1, "y": 1}), (1, {"y": 2})]], {("Sq", 1, "x"): 0}, 6))
 def test_axiom_report_equals_the_identity_by_identity_sweep(case):
     p, gens, relations, operations, max_degree = case
     report = axiom_report(ModPRingPresentation(p, gens, relations, operations), max_degree)

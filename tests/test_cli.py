@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from helpers import deadline
-from modtopo.cli import run, self_test
+from helpers import allocation_cap, deadline
+from modtopo.cli import run
 
 
 def invoke(capsys, *argv):
@@ -167,6 +167,34 @@ def test_group_is_isomorphic(capsys, tmp_path):
     assert invoke_json(capsys, "group", "--json", path)["result"] is True
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"op": "smith", "matrix": {"rows": 10**8, "cols": 0, "entries": []}},
+        {"op": "homology", "boundaries": [{"rows": 0, "cols": 10**8, "entries": []}]},
+        {"op": "homology", "boundaries": [{"rows": 10**8, "cols": 0, "entries": []}]},
+    ],
+    ids=["smith", "homology cols", "homology rows"],
+)
+def test_group_refuses_a_matrix_side_past_the_cap(capsys, tmp_path, doc):
+    path = write_json(tmp_path, "in.json", doc)
+    with deadline(1, "the matrix was built"), allocation_cap(2**20, "a refused matrix"):
+        code, out, err = invoke(capsys, "group", "--json", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[INVALID_INPUT]: a matrix side is at most 65536")
+    assert err.count("\n") == 1
+
+
+def test_group_smith_refuses_transforms_past_the_cap(capsys, tmp_path):
+    # each side is within the document cap; the transforms are not
+    doc = {"op": "smith", "matrix": {"rows": 65536, "cols": 0, "entries": []}}
+    path = write_json(tmp_path, "in.json", doc)
+    with deadline(1, "the transforms were built"), allocation_cap(2**20, "refused transforms"):
+        code, out, err = invoke(capsys, "group", "--json", path)
+    assert (code, out) == (1, "")
+    assert err == "error[INVALID_INPUT]: the transforms of a 65536 x 0 matrix exceed 4194304 entries\n"
+
+
 # -- kunneth ----------------------------------------------------------------------
 
 
@@ -326,11 +354,59 @@ def test_self_test_narrow_sweep_reports_fewer_cases(capsys):
     assert narrow[key]["cases"] < wide[key]["cases"]
 
 
-def test_self_test_injected_fault_fails(capsys):
-    code, out, err = invoke(capsys, "self-test", "--max-genus", "0", "--inject-fault")
+def test_self_test_injected_fault_fails(capsys, monkeypatch):
+    import modtopo.selftest
+    from modtopo.abgroup import FgAbGroup
+    from modtopo.ktheory import KPair
+
+    k_groups_via_d3, compact_betti = modtopo.selftest.k_groups_via_d3, modtopo.selftest.compact_betti
+
+    def wrong_at_the_origin(spec):
+        pair = k_groups_via_d3(spec)
+        if (spec.genus, spec.chern, spec.twist) == (0, 0, 0):
+            return KPair(pair.k0.direct_sum(FgAbGroup.cyclic(2)), pair.k1)
+        return pair
+
+    def off_by_one(spec, m):
+        return compact_betti(spec, m) + ((spec.n, spec.dim_weight2, m) == (1, 0, 0))
+
+    monkeypatch.setattr(modtopo.selftest, "k_groups_via_d3", wrong_at_the_origin)
+    monkeypatch.setattr(modtopo.selftest, "compact_betti", off_by_one)
+    code, out, err = invoke(capsys, "self-test", "--max-genus", "0")
     assert code == 1
     assert out == ""
-    assert "(0, 0, 0)" in err
+    assert err == (
+        "[FAIL] k-groups closed-form vs d3: 66 cases, FAILED 1: (0, 0, 0)\n"
+        "[FAIL] hilbert hodge sums vs betti: 384 cases, FAILED 1: ('compact', 1, 0, 0)\n"
+        "error[DOMAIN_ERROR]: k-groups closed-form vs d3: 1 of 66 cases failed; "
+        "hilbert hodge sums vs betti: 1 of 384 cases failed\n"
+    )
+
+
+def test_self_test_reports_a_cuspidal_hodge_sum_failure(monkeypatch):
+    import modtopo.selftest
+    from modtopo.hilbert import CuspidalBetti
+
+    cuspidal_betti = modtopo.selftest.cuspidal_betti
+
+    def off_by_one(spec, m):
+        betti = cuspidal_betti(spec, m)
+        if (spec.n, spec.num_cusps, spec.cusp_dims[0], m) == (2, 3, 1, 4):
+            return CuspidalBetti(betti.univ, betti.eis, betti.cusp + 1, betti.total + 1)
+        return betti
+
+    monkeypatch.setattr(modtopo.selftest, "cuspidal_betti", off_by_one)
+    assert modtopo.selftest.hodge_sum_sweep().failures == (("cuspidal", 2, 3, 1, 4),)
+
+
+def test_self_test_refuses_a_genus_the_d3_path_refuses(capsys):
+    from modtopo.ktheory import MAX_D3_GENUS
+
+    genus = MAX_D3_GENUS + 1
+    with deadline(2, "the sweep started"), allocation_cap(2**20, "self-test"):
+        code, out, err = invoke(capsys, "self-test", "--max-genus", str(genus))
+    assert (code, out) == (1, "")
+    assert err == f"error[INVALID_INPUT]: the d3 path takes genus <= {MAX_D3_GENUS}; the sweep reaches {genus}\n"
 
 
 def test_self_test_lists_every_failure_on_stderr(capsys, monkeypatch):
@@ -345,11 +421,6 @@ def test_self_test_lists_every_failure_on_stderr(capsys, monkeypatch):
     assert out == ""
     assert "FAILED 2: (0, 1, 2), (3, 4, 5)" in err
     assert "sweep: 2 of 9 cases failed" in err
-
-
-def test_self_test_entry_point(capsys):
-    assert self_test(["--max-genus", "0"]) == 0
-    capsys.readouterr()
 
 
 # -- output contract -----------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 Documents for ``group``, ``kunneth``, ``anomaly`` and ``steenrod`` are
 mostly well shaped, with any field replaced by junk (wrong types, nested
-lists and objects, floats, bools, huge ints) or dropped.  Whatever sets a
-size (matrix dimensions, ranks, degrees, exponents, Hilbert n, the prime,
-the verification degree) only ever receives small values or non-numbers,
-so no example allocates much or runs long; the CLI has no resource limits
-of its own to lean on.
+lists and objects, floats, bools, huge ints) or dropped.  Matrix sides and
+the ``kcircle`` genus also reach far past the CLI's size limits, which must
+refuse them before anything is built.  Whatever else sets a size (ranks,
+degrees, exponents, Hilbert n, the prime, the verification degree) only
+ever receives small values or non-numbers, so no example allocates much or
+runs long.
 """
 
 import io
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modtopo.cli import run
+from modtopo.ktheory import MAX_D3_GENUS
 
 HUGE = st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
 NON_NUMBER = (
@@ -29,6 +31,11 @@ NON_NUMBER = (
 )
 # for fields that set a size; no value here is big
 SIZE_JUNK = NON_NUMBER | st.integers(-2, 4) | st.sampled_from(["3", "-1"])
+# a matrix side past the document cap, or within it but with Smith
+# transforms past theirs; the other side is 0, so the shape lists no entries
+BIG_SIDE = (st.integers(2**12, 2**16) | st.integers(2**16 + 1, 2**40)).flatmap(
+    lambda n: st.sampled_from([(n, 0), (0, n)])
+)
 # junk object keys never name a real field, so no big value lands in one
 JUNK = st.recursive(
     NON_NUMBER | st.integers(-50, 50) | HUGE,
@@ -69,7 +76,8 @@ GROUP = field(
 
 @st.composite
 def matrices(draw):
-    r, c = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    small = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    r, c = draw(st.integers(0, 3).flatmap(lambda i: BIG_SIDE if i == 0 else small))
     entries = st.lists(field(ENTRY), min_size=r * c, max_size=r * c)
     dims = {"rows": field(st.just(r), SIZE_JUNK), "cols": field(st.just(c), SIZE_JUNK)}
     return draw(field(obj(**dims, entries=field(entries))))
@@ -144,24 +152,49 @@ CASES = st.one_of(
 )
 
 
-def invoke(subcommand, doc):
+def invoke(argv, doc=None):
     out, err = io.StringIO(), io.StringIO()
     saved, sys.stdin = sys.stdin, io.StringIO(json.dumps(doc))
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            code = run([subcommand])
+            code = run(argv)
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
-@given(CASES)
-def test_cli_json_readers_keep_the_exit_contract(case):
-    code, out, err = invoke(*case)
+def assert_exit_contract(code, out, err):
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
     if code == 0:
         json.loads(out)  # exactly one JSON document
     else:
         assert out == ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(CASES)
+def test_cli_json_readers_keep_the_exit_contract(case):
+    subcommand, doc = case
+    assert_exit_contract(*invoke([subcommand], doc))
+
+
+# the matrix readers alone, so that shapes past the caps come up often
+@settings(max_examples=100, deadline=None)
+@given(docs("op", ("smith", {"matrix": matrices()}), ("homology", {"boundaries": items(matrices())})))
+def test_matrix_documents_keep_the_exit_contract_at_any_shape(doc):
+    assert_exit_contract(*invoke(["group"], doc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 4) | st.integers(MAX_D3_GENUS + 1, 10**30),
+    st.integers(-5, 5),
+    st.integers(0, 5),
+    st.sampled_from(["closed", "d3"]),
+)
+def test_kcircle_keeps_the_exit_contract_at_any_genus(genus, chern, twist, path):
+    argv = ["kcircle", "--genus", str(genus), "--chern", str(chern), "--twist", str(twist), "--path", path]
+    code, out, err = invoke(argv)
+    assert code == (1 if path == "d3" and genus > MAX_D3_GENUS else 0), err
+    assert_exit_contract(code, out, err)

@@ -258,7 +258,7 @@ def test_euler_multiplicativity_of_products_of_varieties():
 def test_spec_serialization_round_trip():
     c = CompactHilbertSpec(2, 5)
     assert spec_from_json(c.to_json()) == c
-    k = CuspidalHilbertSpec.by_cardinality(2, 3, {0: 1, 1: 2, 2: 0})
+    k = CuspidalHilbertSpec(2, 3, {0: 1, 1: 2, 2: 2, 3: 0})
     assert spec_from_json(k.to_json()) == k
 
 
@@ -294,7 +294,6 @@ def test_cusp_table_size_is_checked_before_any_table_exists():
         for build in (
             lambda: CuspidalHilbertSpec(40, 1, {0: 1}),
             lambda: CuspidalHilbertSpec.uniform(40, 1, 0),
-            lambda: CuspidalHilbertSpec.by_cardinality(40, 1, {0: 1}),
             lambda: spec_from_json({"n": 21, "h": 1, "cusp_dims": {"0": 1}}),
         ):
             with pytest.raises(InvalidInput):

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from helpers import allocation_cap, deadline
 from modtopo.abgroup import FgAbGroup, IntMatrix, dual_complex
-from modtopo.errors import InvalidDimension, NoUnitSummand
+from modtopo.errors import InvalidDimension, InvalidInput, NoUnitSummand
 from modtopo.graded import betti, tensor_product_complex
 from modtopo.ktheory import (
+    MAX_D3_GENUS,
     CircleBundleSpec,
     KPair,
     k_groups,
@@ -113,6 +115,20 @@ def test_d3_path_equivalence_sweep():
             for k in range(6):
                 spec = CircleBundleSpec(g, j, k)
                 assert k_groups_via_d3(spec) == k_groups(spec), (g, j, k)
+
+
+@pytest.mark.parametrize("genus", [MAX_D3_GENUS + 1, 10**12])
+def test_d3_path_refuses_a_large_genus_before_building_anything(genus):
+    with deadline(2, "the d3 path built its cochains"), allocation_cap(2**20, "the d3 path"):
+        with pytest.raises(InvalidInput, match=f"genus <= {MAX_D3_GENUS}"):
+            k_groups_via_d3(CircleBundleSpec(genus, 3, 4))
+
+
+def test_closed_form_costs_nothing_per_unit_of_genus():
+    # a list per unit of genus would hold 2 * 10**6 entries here, far past the cap
+    with deadline(1, "the closed form grew with the genus"), allocation_cap(2**20, "the closed form"):
+        pair = k_groups(CircleBundleSpec(10**6, 3, 4))
+    assert pair == KPair(FgAbGroup(2 * 10**6, (3,)), FgAbGroup(2 * 10**6, (4,)))
 
 
 @pytest.mark.parametrize("p", [1, -1, 2, 3, 5, -4])
