@@ -673,7 +673,8 @@ class FgAbGroup(FrozenValue):
         """Direct sum of ``copies`` copies of this group."""
         if copies < 0:
             raise ValueError("copies must be nonnegative")
-        return FgAbGroup._canonical(self.rank * copies, self.invariant_factors * copies)
+        tors = self.invariant_factors * copies if self.invariant_factors else ()  # () * 2**63 raises
+        return FgAbGroup._canonical(self.rank * copies, tors)
 
     def tensor(self, other: "FgAbGroup") -> "FgAbGroup":
         """A (x) B over Z.

@@ -113,6 +113,8 @@ def k_groups(spec: CircleBundleSpec) -> KPair:
 
 # delta^1 is a dense (2g + 1)^2 matrix; this genus keeps it within 2^24 entries
 MAX_D3_GENUS = 2047
+# product_with_torus lists 2^(k-1) copies of the repeated cell's torsion
+MAX_TORUS_TORSION = 2**20
 
 
 def _circle_bundle_cochains(spec: CircleBundleSpec) -> list[IntMatrix]:
@@ -199,11 +201,16 @@ def product_with_torus(base: KPair, k: int) -> KPair:
     Both outputs are (reduced K^0 (+) K^1 (+) Z) repeated 2^(k-1) times, so
     crossing with a torus always lands the two K-groups in the same
     isomorphism class; the multiplicity 2^(k-1) counts the ways branes wrap
-    torus cycles.
+    torus cycles.  An output with more than ``MAX_TORUS_TORSION`` invariant
+    factors is refused before it is built.
     """
     if k < 1:
         raise InvalidDimension("torus factor dimension must be >= 1")
     red = reduced_k(base.k0)
     cell = red.direct_sum(base.k1).direct_sum(FgAbGroup.free(1))
+    n = len(cell.invariant_factors)
+    # 2^64 copies of any torsion pass the cap, so a huge k builds no huge count
+    if n * 2 ** min(k - 1, 64) > MAX_TORUS_TORSION:
+        raise InvalidInput(f"T^{k} lists {n} * 2^{k - 1} torsion factors, past {MAX_TORUS_TORSION}")
     total = cell.repeated_sum(2 ** (k - 1))
     return KPair(total, total)

@@ -8,6 +8,7 @@ from modtopo.errors import InvalidDimension, InvalidInput, NoUnitSummand
 from modtopo.graded import betti, tensor_product_complex
 from modtopo.ktheory import (
     MAX_D3_GENUS,
+    MAX_TORUS_TORSION,
     CircleBundleSpec,
     KPair,
     k_groups,
@@ -215,6 +216,23 @@ def test_product_with_torus_point_base_matches_torus():
     for k in range(1, 5):
         out = product_with_torus(point, k)
         assert out == torus_k_groups(k)
+
+
+@pytest.mark.parametrize(
+    "torsion,k",
+    [((2,), 22), ((2, 2), 21), ((6,), 10**9)],
+    ids=["one factor", "two factors", "a billion-torus"],
+)
+def test_product_with_torus_refuses_torsion_past_the_cap_before_building_it(torsion, k):
+    base = KPair(free_and(1, *torsion), FgAbGroup.trivial())
+    with deadline(1, "the torus product was built"), allocation_cap(2**20, "a refused torus product"):
+        with pytest.raises(InvalidInput, match=f"past {MAX_TORUS_TORSION}$"):
+            product_with_torus(base, k)
+
+
+def test_product_with_torus_without_torsion_has_no_cap():
+    out = product_with_torus(KPair(Z(3), Z(1)), 200)
+    assert out.k0 == out.k1 == Z(2**199 * 4)
 
 
 def test_product_with_torus_outputs_isomorphic_and_double():

@@ -287,7 +287,7 @@ def test_verify_axioms_flags_forced_table_conflict():
     assert any(v.kind == "TABLE" for v in violations)
 
 
-def test_verify_axioms_flags_nonconfluent_rules():
+def test_overlapping_relations_complete_to_one_normal_form():
     pres = ModPRingPresentation(
         2,
         [("x", 1), ("u", 2)],
@@ -296,8 +296,26 @@ def test_verify_axioms_flags_nonconfluent_rules():
             [(1, {"x": 2})],  # x^2 = 0
         ],
     )
-    violations = verify_axioms(pres, 4)
-    assert any(v.kind == "CONFLUENCE" for v in violations)
+    # the two rules for x^2 meet, and completing them adds u = 0
+    x, u = pres.gen("x"), pres.gen("u")
+    assert (x * x).is_zero and u.is_zero
+    assert x * u == (x * x) * x == x * (x * x) == 0
+    assert verify_axioms(pres, 4) == []
+
+
+def test_relations_that_overlap_on_a_product_give_one_normal_form():
+    # x*y = z^2 and x^2 = 0 overlap on x^2*y: x*z^2 = 0, and then z^4 = 0
+    pres = ModPRingPresentation(
+        2, [("x", 1), ("y", 1), ("z", 1)], [[(1, {"x": 1, "y": 1}), (1, {"z": 2})], [(1, {"x": 2})]]
+    )
+    x, y, z = map(pres.gen, "xyz")
+    assert x * (x * y) == (x * x) * y == x * z * z == z**4 == 0
+    assert sq(2, x * (x * y)) == sq(2, (x * x) * y) == 0
+    report = axiom_report(pres, 4)
+    assert {v.kind for v in report.violations} == {"CARTAN"}
+    # real ones: Sq^1 does not descend, as Sq^1(x*y + z^2) = x*y^2 = y*z^2 is not 0
+    assert sq(1, x * y) == 0 and sq(1, x) * y + x * sq(1, y) == y * z * z != 0
+    assert "CARTAN: Sq^1(y * x) [0 != y*z^2]" in map(str, report.violations)
 
 
 def test_verify_axioms_odd_prime_clean():
@@ -485,15 +503,10 @@ def test_axiom_report_counts_skipped_identities():
     assert sum(report.checked.values()) > 0
 
 
-def test_inhomogeneous_relation_is_reported_and_its_cartan_identities_skipped():
+def test_inhomogeneous_relation_is_refused_at_construction():
     # x^3 = y + x mixes the degrees 3, 2 and 1
-    pres = ModPRingPresentation(
-        2, [("x", 1), ("y", 2)], [[(1, {"x": 3}), (1, {"y": 1}), (1, {"x": 1})]]
-    )
-    report = axiom_report(pres, 4)
-    assert [v.kind for v in report.violations] == ["DEGREE"]
-    assert "not homogeneous" in report.violations[0].detail
-    assert report.skipped["CARTAN"] == 47
+    with pytest.raises(Inhomogeneous, match=r"^relation x\^3 \+ y \+ x is not homogeneous \(degrees \[1, 2, 3\]\)$"):
+        ModPRingPresentation(2, [("x", 1), ("y", 2)], [[(1, {"x": 3}), (1, {"y": 1}), (1, {"x": 1})]])
 
 
 def test_axiom_report_clean_ring_skips_nothing():
