@@ -473,14 +473,17 @@ def test_zero_denominator_is_domain_error(capsys, tmp_path):
 
 
 def test_steenrod_verify_reports_checked_and_skipped(capsys, tmp_path):
-    pres = {"p": 2, "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}]}
+    pres = {
+        "p": 2,
+        "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}],
+        "relations": [[{"coeff": 1, "monomial": {"x": 3}}, {"coeff": 1, "monomial": {"y": 2}}]],
+    }
     path = write_json(tmp_path, "in.json", {"presentation": pres, "verify_to_degree": 10})
     doc = invoke_json(capsys, "steenrod", "--json", path)
     assert doc["violations"] == []
-    kinds = {"bockstein", "cartan", "instability", "squaring"}
-    assert set(doc["checked"]) == set(doc["skipped"]) == kinds
-    assert sum(doc["skipped"].values()) > 0
-    assert sum(doc["checked"].values()) > 0
+    # Sq^1 x and Sq^1 y are missing; Sq^6 of the relation is its square
+    assert doc["checked"] == {"bockstein": 0, "cartan": 1}
+    assert doc["skipped"] == {"bockstein": 2, "cartan": 5}
 
 
 def test_scalar_in_place_of_a_group_is_domain_error(capsys, monkeypatch):
