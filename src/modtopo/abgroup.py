@@ -278,10 +278,9 @@ class SnfResult(FrozenValue):
     ``diagonal`` holds the min(rows, cols) diagonal entries: the invariant
     factors (each dividing the next) followed by zeros.  ``left`` and
     ``right`` are unimodular; ``left_inv`` and ``right_inv`` are their exact
-    inverses (so left_inv @ M @ right_inv is the diagonal matrix).  Three
-    are replayed from the elimination's operation log and ``left`` is read
-    off M V; the lattice helpers replay the log onto only the vectors they
-    read and build none of them.
+    inverses (so left_inv @ M @ right_inv is the diagonal matrix).  All four
+    are replayed from the elimination's operation log; the lattice helpers
+    replay it onto only the vectors they read and build none of them.
     """
 
     diagonal: tuple[int, ...]
@@ -328,13 +327,6 @@ def _replay(ops, rows: list[list[int]]) -> list[list[int]]:
     for k, i, q in ops:
         rows[k] = [a - q * b for a, b in zip(rows[k], rows[i])]
     return rows
-
-
-def _mv_columns(m: IntMatrix, cops) -> list[list[int]]:
-    """The columns of M V: the column operations replayed onto M's columns.
-    With U M V the scattered diagonal, column j of M V is p times column i
-    of U^-1 for each pivot (i, j, p)."""
-    return _replay(cops, [list(m.column(j)) for j in range(m.cols)])
 
 
 def _eliminate(rows: list[dict[int, int]], ncols: int):
@@ -466,21 +458,15 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             f"the transforms of a {m.rows} x {m.cols} matrix exceed {MAX_TRANSFORM_ENTRIES} entries"
         )
     diag, pivots, rops, cops = _eliminate(_sparse_rows(m), m.cols)
-    # rows of left_inv, right and right_inv^T
+    # rows of left_inv, left^T, right and right_inv^T
     li = _replay(rops, _eye(m.rows))
+    lt = _replay([(i, k, -q) for k, i, q in rops], _eye(m.rows))
     rr = _replay([(j, l, -q) for l, j, q in cops], _eye(m.cols))
     rv = _replay(cops, _eye(m.cols))
-    # column i of left is U^-1 e_i, negated where p < 0: column j of M V
-    # over |p| for a pivot (i, j, p), and for a row i without a pivot the
-    # inverse row operations, last first, on e_i
-    mv = _mv_columns(m, cops)
-    lt = {i: [a // abs(p) for a in mv[j]] for i, j, p in pivots}
-    free = [i for i in range(m.rows) if i not in lt]
-    units = _replay([(k, i, -q) for k, i, q in reversed(rops)], [[int(r == f) for f in free] for r in range(m.rows)])
-    lt.update((f, [row[c] for row in units]) for c, f in enumerate(free))
     for i, _, p in pivots:
         if p < 0:
             li[i] = [-a for a in li[i]]
+            lt[i] = [-a for a in lt[i]]
     rperm = dict.fromkeys([*(i for i, _, _ in pivots), *range(m.rows)])
     cperm = dict.fromkeys([*(j for _, j, _ in pivots), *range(m.cols)])
     return SnfResult(
@@ -508,10 +494,11 @@ def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
 
 def image_lattice_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the lattice spanned by the columns of M, as columns."""
-    _, pivots, _, cops = _eliminate(_sparse_rows(m), m.cols)
-    # U^-1 (p e_i) for the pivots (i, j, p), which is column j of M V
-    mv = _mv_columns(m, cops)
-    return IntMatrix.from_rows([[mv[j][r] for _, j, _ in pivots] for r in range(m.rows)], cols=len(pivots))
+    _, pivots, rops, _ = _eliminate(_sparse_rows(m), m.cols)
+    # U^-1 (p e_i) for the pivots (i, j, p): the inverse row operations, last first
+    scaled = [[p if r == i else 0 for i, _, p in pivots] for r in range(m.rows)]
+    basis = _replay([(k, i, -q) for k, i, q in reversed(rops)], scaled)
+    return IntMatrix.from_rows(basis, cols=len(pivots))
 
 
 def solve_integer(m: IntMatrix, b: list[int] | tuple[int, ...]) -> list[int] | None:

@@ -26,7 +26,8 @@ in degree 3 is the Bockstein of the degree-2 class (w3_from_w2).
 On the free algebra these rules define the operations from the table by
 construction; what a table can get wrong is the axiom-forced values, beta
 beta = 0, and descent to the quotient by the relations, which
-:func:`axiom_report` checks on the generators and relations.
+:func:`axiom_report` checks on the generators, the relations and the rules
+they complete to.
 
 Topology enters only through the generator tables; there is no
 chain-level construction here, and no relations between the operations
@@ -682,7 +683,8 @@ class AxiomReport(FrozenValue):
 
     ``checked`` and ``skipped`` count identities by kind (the keys of
     :data:`AXIOM_KINDS`): BOCKSTEIN for beta beta on a generator and, at
-    odd p, beta of a relation; CARTAN for each operation of a relation.
+    odd p, beta of a relation or rule; CARTAN for each operation of a
+    relation or rule below its top index, which gives its p-th power.
     An identity is skipped when evaluating it hits an undetermined
     generator value or an inhomogeneous table value.  Table violations
     come first and the rest are sorted, so neither the order of the
@@ -737,13 +739,15 @@ def axiom_report(pres: ModPRingPresentation, max_degree: int) -> AxiomReport:
     operations pass to the quotient exactly when Sq^k(r), or St^k(r), and
     beta(r) lie in the ideal for every relation r (Steenrod and Epstein
     1962, ch. I); normal forms are unique, so that is whether they reduce
-    to 0.
+    to 0.  Each completed rule is checked as well as each relation.
 
     ``max_degree`` bounds the degree of the generators checked, and
-    ``max_degree`` + 1 that of the relations: beta beta on an element of
-    degree n passes through degree n + 1, where a relation can meet it.
-    Identities that hit an Undetermined generator value are skipped and
-    counted, not reported.
+    ``max_degree`` + 1 that of the relations and rules: beta beta on an
+    element of degree n passes through degree n + 1, where a relation can
+    meet it.  Identities that hit an Undetermined generator value are
+    skipped and counted, not reported; a report that skipped nothing holds
+    whatever the missing values are, but one that skipped some can miss a
+    contradiction that only a multiple of a relation shows.
     """
     out: list[AxiomViolation] = []
     _check_table_entries(pres, out)
@@ -763,18 +767,41 @@ def axiom_report(pres: ModPRingPresentation, max_degree: int) -> AxiomReport:
             found.append(AxiomViolation(kind, detail, pres.poly_str(got), "0"))
 
     beta = 1 if pres.p == 2 else None  # Sq^1 is the Bockstein at p = 2
+
+    def beta_beta(idx: int) -> Poly:
+        # from the generator's given value, so that the answer does not
+        # depend on which normal form the generator order picks; from its
+        # normal form if the given value needs a missing one that it does not
+        try:
+            return _apply(pres, beta, pres._free_value(beta, idx))
+        except Undetermined:
+            return _apply(pres, beta, pres._gen_value(beta, idx))
+
     for idx, d in enumerate(pres.degrees):
         if d <= max_degree:
-            # from the generator's given value, so that the answer does not
-            # depend on which normal form the generator order picks
             detail = ("Sq^1 Sq^1" if beta else "beta beta") + f" ({pres.names[idx]}) != 0"
-            check("BOCKSTEIN", detail, lambda: _apply(pres, beta, pres._free_value(beta, idx)))
-    for rel in filter(None, pres.raw_relations):
+            check("BOCKSTEIN", detail, lambda: beta_beta(idx))
+    # The relations, and each rule lead - rhs with rhs in normal form: where a
+    # relation needs a missing value, a rule that combines it with others may
+    # not, and a product of normal monomials reduces through rules alone.
+    top = max_degree + 1
+    pres._complete(top)
+    rules = (
+        {lead: 1, **pres.poly_scale(pres.reduce(rhs), -1)}
+        for lead, rhs in pres._rules
+        if pres.mono_degree(lead) <= top
+    )
+    elements = {}  # monic, so that a rule equal to a relation counts once
+    for rel in filter(None, (*pres.raw_relations, *rules)):
+        lead = max(rel, key=pres._deglex)
+        if pres.mono_degree(lead) <= top:
+            monic = pres.poly_scale(rel, pow(rel[lead], -1, pres.p))
+            elements[tuple(sorted(monic.items()))] = monic
+    for rel in elements.values():
         d = pres.mono_degree(next(iter(rel)))
-        if d > max_degree + 1:
-            continue
         name = pres.poly_str(rel)
-        for k in range(1, d // pres.weight + 1):
+        # the top index gives r^p, which is in the ideal whatever the table
+        for k in range(1, (d - 1) // pres.weight + 1):
             detail = f"{pres.op_name}^{k}({name}) is not in the ideal"
             check("CARTAN", detail, lambda: _apply(pres, k, rel))
         if beta is None:

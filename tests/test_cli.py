@@ -477,13 +477,14 @@ def test_steenrod_verify_reports_checked_and_skipped(capsys, tmp_path):
         "p": 2,
         "generators": [{"name": "x", "degree": 2}, {"name": "y", "degree": 3}],
         "relations": [[{"coeff": 1, "monomial": {"x": 3}}, {"coeff": 1, "monomial": {"y": 2}}]],
+        "ops": [{"op": "Sq1", "gen": "y", "value": []}],
     }
     path = write_json(tmp_path, "in.json", {"presentation": pres, "verify_to_degree": 10})
     doc = invoke_json(capsys, "steenrod", "--json", path)
     assert doc["violations"] == []
-    # Sq^1 x and Sq^1 y are missing; Sq^6 of the relation is its square
-    assert doc["checked"] == {"bockstein": 0, "cartan": 1}
-    assert doc["skipped"] == {"bockstein": 2, "cartan": 5}
+    # Sq^1 x is missing; Sq^6 of the relation, its square, is not checked
+    assert doc["checked"] == {"bockstein": 1, "cartan": 0}
+    assert doc["skipped"] == {"bockstein": 1, "cartan": 5}
 
 
 def test_scalar_in_place_of_a_group_is_domain_error(capsys, monkeypatch):
