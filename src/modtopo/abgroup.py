@@ -71,11 +71,11 @@ def as_int(v) -> int:
 
 
 def json_shape(value, kind: type, what: str):
-    """``value`` if it is a JSON object (``kind`` dict) or array (``kind``
-    list, which a tuple also satisfies); InvalidInput otherwise."""
+    """``value`` if it is a JSON object, array (a tuple too) or boolean, as
+    ``kind`` is dict, list or bool; InvalidInput otherwise."""
     if isinstance(value, (list, tuple) if kind is list else kind):
         return value
-    shape = "object" if kind is dict else "array"
+    shape = {dict: "object", list: "array", bool: "boolean"}[kind]
     raise InvalidInput(f"{what} must be a JSON {shape}, not {type(value).__name__}")
 
 

@@ -139,12 +139,11 @@ def _cmd_hilbert(args):
 
     spec = _hilbert_spec(args)
     degrees = range(2 * spec.n + 1)
-    bettis = [betti_total(spec, m) for m in degrees]
     if args.betti and not args.hodge:
-        return bettis
-    doc = {"spec": spec.to_json()}
+        return [betti_total(spec, m) for m in degrees]
+    doc = {"spec": spec.to_json()}  # a cusp table past the cap is refused before any work
     if args.betti or not args.hodge:
-        doc["betti"] = bettis
+        doc["betti"] = [betti_total(spec, m) for m in degrees]
     if args.hodge:
         doc["hodge"] = [hodge_slice(spec, m).to_json() for m in degrees]
     elif isinstance(spec, CompactHilbertSpec):

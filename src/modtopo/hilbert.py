@@ -10,8 +10,8 @@ product of n upper half-planes the Betti numbers are
 where dim_weight2 is the dimension of the weight-(2,...,2) form space (a
 user input; no dimension formula is computed here).  For a congruence
 subgroup with h cusps the graded pieces split into universal, Eisenstein
-and cuspidal parts; the cuspidal part lives only in middle degree n and is
-indexed by subsets b of {1..n}, with Hodge bidegree (n - #b, #b).
+and cuspidal parts; the cuspidal part lives only in middle degree n, where
+a subset b of {1..n} has bidegree (n - #b, #b) and enters only by #b.
 
 Every C(a, b) is the binomial coefficient, zero outside 0 <= b <= a; that
 is the only reading under which the closed forms are nonnegative integers
@@ -75,7 +75,7 @@ MAX_CUSP_TABLE_N = 20
 
 def _subsets(n: int) -> range:
     """The bitmasks of the subsets of {1..n}.  A cusp table has one entry
-    per subset, so n is capped before any table is built."""
+    per subset, so n is capped before any table is read or printed."""
     if n > MAX_CUSP_TABLE_N:
         raise InvalidInput(f"cusp tables cover 2^n subsets; n = {n} exceeds {MAX_CUSP_TABLE_N}")
     return range(2**n)
@@ -84,50 +84,54 @@ def _subsets(n: int) -> range:
 class CuspidalHilbertSpec(FrozenValue):
     """Congruence quotient with cusps.
 
-    ``num_cusps`` is the cusp number h; ``cusp_dims`` assigns to every
-    subset b of {1..n} (encoded as a bitmask 0..2^n-1) the dimension of
-    the associated weight-(2,...,2) cusp form space.  The formulas read
-    only its sums by cardinality #b, which are folded once here.
+    ``num_cusps`` is the cusp number h; ``cusp_dims`` gives each subset b of
+    {1..n} the dimension of its weight-(2,...,2) cusp form space: one int
+    shared by all 2^n subsets, or a table keyed by bitmask 0..2^n-1, which
+    compares unequal to the shared int it repeats.  The formulas read only
+    the sums by cardinality #b, C(n, #b) times a shared int or a table's.
     """
 
     n: int
     num_cusps: int
-    cusp_dims: dict[int, int]
+    cusp_dims: int | dict[int, int]
 
     def __post_init__(self):
-        dims = dict(self.cusp_dims)
+        shared = type(self.cusp_dims) is int
+        dims = {0: self.cusp_dims} if shared else dict(self.cusp_dims)
         require_ints("n, cusps and cusp dimensions", self.n, self.num_cusps, *dims, *dims.values())
         if self.n < 1:
             raise ValueError("need at least one half-plane factor")
         if self.num_cusps < 1:
             raise ValueError("a congruence quotient has at least one cusp")
-        subsets = _subsets(self.n)
-        if len(dims) != len(subsets) or any(b not in subsets for b in dims):
-            raise ValueError(f"cusp_dims must cover all {2**self.n} subsets of {{1..{self.n}}}")
         if any(v < 0 for v in dims.values()):
             raise ValueError("cusp form dimensions must be nonnegative")
-        by_size = [0] * (self.n + 1)
-        for b, v in dims.items():
-            by_size[b.bit_count()] += v
-        object.__setattr__(self, "cusp_dims", dims)
-        object.__setattr__(self, "_by_size", tuple(by_size))
+        if not shared:  # the size cap comes before any list sized by n
+            if len(dims) != len(subsets := _subsets(self.n)) or any(b not in subsets for b in dims):
+                raise ValueError(f"cusp_dims must cover all {2**self.n} subsets of {{1..{self.n}}}")
+            by_size = [0] * (self.n + 1)
+            for b, v in dims.items():
+                by_size[b.bit_count()] += v
+            object.__setattr__(self, "cusp_dims", dims)
+            object.__setattr__(self, "_by_size", tuple(by_size))
 
     @classmethod
     def uniform(cls, n: int, num_cusps: int, dim: int) -> "CuspidalHilbertSpec":
-        return cls(n, num_cusps, dict.fromkeys(_subsets(n), dim))
+        return cls(n, num_cusps, dim)
 
     def dims_by_cardinality(self, size: int) -> int:
+        if type(self.cusp_dims) is int:
+            return _binom(self.n, size) * self.cusp_dims
         return self._by_size[size] if 0 <= size <= self.n else 0
 
     def total_cusp_dim(self) -> int:
-        return sum(self._by_size)
+        return 2**self.n * self.cusp_dims if type(self.cusp_dims) is int else sum(self._by_size)
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "compact": False,
             "h": self.num_cusps,
-            "cusp_dims": {str(k): v for k, v in sorted(self.cusp_dims.items())},
+            "cusp_dims": {str(b): d if type(d := self.cusp_dims) is int else d[b] for b in _subsets(self.n)},
         }
 
     @classmethod
@@ -139,14 +143,16 @@ HilbertSpec = CompactHilbertSpec | CuspidalHilbertSpec
 
 
 def cusp_dims_from_json(doc: dict) -> dict[int, int]:
-    """A {bitmask-string: dimension} object as {bitmask: dimension}."""
-    json_shape(doc, dict, "cusp dimensions")
-    return {int(k): as_int(v) for k, v in doc.items()}
+    """A {bitmask-string: dimension} object, keyed by canonical decimals."""
+    dims = {int(k): as_int(v) for k, v in json_shape(doc, dict, "cusp dimensions").items()}
+    if list(map(str, dims)) != list(doc):
+        raise ValueError("cusp bitmasks must be canonical decimals, each given once")
+    return dims
 
 
 def spec_from_json(doc: dict) -> HilbertSpec:
     json_shape(doc, dict, "a Hilbert spec")
-    if doc.get("compact", "h" not in doc):
+    if json_shape(doc.get("compact", "h" not in doc), bool, "compact"):
         return CompactHilbertSpec.from_json(doc)
     return CuspidalHilbertSpec.from_json(doc)
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -395,7 +396,7 @@ def test_self_test_reports_a_cuspidal_hodge_sum_failure(monkeypatch):
 
     def off_by_one(spec, m):
         betti = cuspidal_betti(spec, m)
-        if (spec.n, spec.num_cusps, spec.cusp_dims[0], m) == (2, 3, 1, 4):
+        if (spec.n, spec.num_cusps, spec.dims_by_cardinality(0), m) == (2, 3, 1, 4):
             return CuspidalBetti(betti.univ, betti.eis, betti.cusp + 1, betti.total + 1)
         return betti
 
@@ -567,18 +568,53 @@ def test_steenrod_refuses_a_monomial_past_the_evaluation_depth_as_a_process(gens
 @pytest.mark.parametrize(
     "argv,doc",
     [
-        (("hilbert", "--n", "40", "--h", "1", "--betti"), None),
-        (("anomaly",), {"check": "hilbert", "spec": {"n": 40, "h": 1, "cusp_dims": {"0": 1}}}),
+        (("hilbert", "--n", "40", "--h", "1"), None),  # the default output echoes the table
+        (("anomaly", "--json"), {"check": "hilbert", "spec": {"n": 40, "h": 1, "cusp_dims": {"0": 1}}}),
+        (("hilbert", "--n", "100000", "--h", "1"), None),  # refused before any Betti number
+        (("hilbert", "--n", "1000000000", "--h", "1", "--cusp-dims"), {"0": 1}),
+        (("anomaly", "--json"), {"check": "hilbert", "spec": {"n": 10**9, "h": 1, "cusp_dims": {"0": 1}}}),
     ],
 )
 def test_oversized_cusp_table_is_domain_error_without_allocating(capsys, tmp_path, argv, doc):
     if doc is not None:
-        argv = (*argv, "--json", write_json(tmp_path, "in.json", doc))
-    with deadline(2, "the cusp table was built before n was checked"):
+        argv = (*argv, write_json(tmp_path, "in.json", doc))
+    with deadline(1, "the cusp table was built"), allocation_cap(2**20, "a list sized by n"):
         code, out, err = invoke(capsys, *argv)
     assert code == 1
     assert out == ""
     assert "INVALID_INPUT" in err and "Traceback" not in err
+
+
+def test_hilbert_betti_costs_what_the_answer_costs(capsys):
+    # a shared cusp dimension is folded into n + 1 sums, so no 2^n table is built
+    with allocation_cap(30 * 2**20, "hilbert --n 20 --betti"):
+        code, out, err = invoke(capsys, "hilbert", "--n", "20", "--h", "1", "--betti")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)) == 41
+    with deadline(1, "hilbert --n 1000 --betti"):
+        doc = invoke_json(capsys, "hilbert", "--n", "1000", "--h", "1", "--uniform-cusp-dim", "2", "--betti")
+    assert len(doc) == 2001 and int(doc[1000]) == comb(1000, 500) + 1 + 2 * 2**1000  # univ + eis + cusp
+
+
+@pytest.mark.parametrize("dims", [{"0": 1, "1": 2, "01": 3}, {"0": 1, " 1": 2}])
+def test_a_cusp_bitmask_spelled_twice_or_padded_is_a_usage_error(capsys, tmp_path, dims):
+    path = write_json(tmp_path, "dims.json", dims)
+    code, out, err = invoke(capsys, "hilbert", "--n", "1", "--h", "1", "--cusp-dims", path)
+    assert (code, out) == (2, "")
+    assert "canonical" in err and "Traceback" not in err
+    doc = {"check": "hilbert", "spec": {"n": 1, "h": 1, "cusp_dims": dims}}
+    code, out, err = invoke(capsys, "anomaly", "--json", write_json(tmp_path, "in.json", doc))
+    assert (code, out) == (2, "")
+    assert "canonical" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("compact", ["false", 0, None])
+def test_anomaly_hilbert_compact_must_be_a_boolean(capsys, tmp_path, compact):
+    spec = {"n": 2, "compact": compact, "h": 1, "cusp_dims": {str(b): 1 for b in range(4)}}
+    path = write_json(tmp_path, "in.json", {"check": "hilbert", "spec": spec})
+    code, out, err = invoke(capsys, "anomaly", "--json", path)
+    assert (code, out) == (1, "")
+    assert err == f"error[INVALID_INPUT]: compact must be a JSON boolean, not {type(compact).__name__}\n"
 
 
 @pytest.mark.parametrize("source", ["stdin", "--json", "--cusp-dims"])

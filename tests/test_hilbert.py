@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -17,6 +18,7 @@ from modtopo.hilbert import (
     betti_total,
     compact_betti,
     compact_implied_volume,
+    cusp_dims_from_json,
     cuspidal_betti,
     hodge_filtration_dims,
     hodge_slice,
@@ -293,11 +295,63 @@ def test_cusp_table_size_is_checked_before_any_table_exists():
     with deadline(2, "a 2^n table was built before n was checked"):
         for build in (
             lambda: CuspidalHilbertSpec(40, 1, {0: 1}),
-            lambda: CuspidalHilbertSpec.uniform(40, 1, 0),
+            lambda: CuspidalHilbertSpec.uniform(40, 1, 0).to_json(),  # the echo needs the table
             lambda: spec_from_json({"n": 21, "h": 1, "cusp_dims": {"0": 1}}),
         ):
             with pytest.raises(InvalidInput):
                 build()
+        # a shared dimension is folded without a table, so it answers
+        assert CuspidalHilbertSpec.uniform(40, 1, 2).total_cusp_dim() == 2**41
         # n = 20 passes the size check and fails only the coverage check
         with pytest.raises(ValueError, match="cover all"):
             CuspidalHilbertSpec(20, 1, {0: 1})
+
+
+# -- relabelling the half-planes ------------------------------------------------------
+
+
+def _hilbert_tables(spec):
+    degrees = range(2 * spec.n + 1)
+    return (
+        [betti_total(spec, m) for m in degrees],
+        [hodge_slice(spec, m) for m in degrees],
+        [[hodge_filtration_dims(spec, m, p) for p in range(spec.n + 2)] for m in degrees],
+    )
+
+
+TABLE_AND_RELABELLING = hs.integers(1, 6).flatmap(
+    lambda n: hs.tuples(hs.lists(hs.integers(0, 9), min_size=2**n, max_size=2**n), hs.permutations(range(n)))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(TABLE_AND_RELABELLING, hs.integers(1, 3))
+def test_permuting_the_half_planes_leaves_every_table_unchanged(case, h):
+    values, perm = case
+    n = len(perm)
+
+    def relabel(b):
+        return sum(1 << perm[i] for i in range(n) if b >> i & 1)
+
+    spec = CuspidalHilbertSpec(n, h, dict(enumerate(values)))
+    relabelled = CuspidalHilbertSpec(n, h, {relabel(b): v for b, v in enumerate(values)})
+    assert _hilbert_tables(relabelled) == _hilbert_tables(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.integers(1, 6), hs.integers(1, 3), hs.integers(0, 9))
+def test_a_constant_table_reads_as_the_shared_dimension(n, h, d):
+    table = CuspidalHilbertSpec(n, h, dict.fromkeys(range(2**n), d))
+    shared = CuspidalHilbertSpec(n, h, d)
+    assert _hilbert_tables(table) == _hilbert_tables(shared)
+    assert json.dumps(table.to_json()) == json.dumps(shared.to_json())
+    # a spec compares by the form it was given; only the shared form hashes
+    assert table != shared and hash(shared) == hash(CuspidalHilbertSpec.uniform(n, h, d))
+    with pytest.raises(TypeError):
+        hash(table)
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "1_0", "\u0661"])
+def test_a_cusp_bitmask_is_read_only_in_its_canonical_spelling(key):
+    with pytest.raises(ValueError, match="canonical"):
+        cusp_dims_from_json({"0": 1, key: 2})
