@@ -646,11 +646,13 @@ class FgAbGroup(FrozenValue):
         return self.rank == 0 and not self.invariant_factors
 
     def primary_decomposition(self) -> tuple[int, ...]:
-        """Prime-power cyclic orders (for display); rank is unchanged."""
+        """Prime-power cyclic orders (for display); rank is unchanged.  Trial
+        division runs below 2**16, and a cofactor left above that must be prime:
+        a product of larger primes, or a power of one, raises InvalidInput."""
         out: list[int] = []
         for d in self.invariant_factors:
             f = 2
-            while f * f <= d:
+            while f * f <= d and f < 2**16:
                 if d % f == 0:
                     q = 1
                     while d % f == 0:
@@ -658,6 +660,8 @@ class FgAbGroup(FrozenValue):
                         q *= f
                     out.append(q)
                 f += 1
+            if f * f <= d and not is_prime(d):
+                raise InvalidInput(f"{d} is not prime and has no prime factor below 2**16 to split off")
             if d > 1:
                 out.append(d)
         return tuple(sorted(out))

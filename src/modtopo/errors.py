@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
 Every domain-level failure raises a subclass of :class:`DomainError`
-carrying a stable ``code`` string; the command-line front end maps these
-to exit code 1 (usage problems exit with 2).
+whose stable ``code`` is its class name in upper snake case
+(``NotASublattice`` -> ``NOT_A_SUBLATTICE``); the command-line front end
+maps these to exit code 1 (usage problems exit with 2).
 """
 
 
@@ -11,93 +12,67 @@ class DomainError(Exception):
 
     code = "DOMAIN_ERROR"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = "".join(f"_{c}" if c.isupper() and i else c for i, c in enumerate(cls.__name__)).upper()
+
 
 class DimensionMismatch(DomainError):
     """Matrices in a complex do not compose."""
-
-    code = "DIMENSION_MISMATCH"
 
 
 class NotAComplex(DomainError):
     """Consecutive boundary maps do not square to zero."""
 
-    code = "NOT_A_COMPLEX"
-
 
 class DegreeOutOfRange(DomainError):
     """Requested cohomological degree lies outside 0..2n."""
-
-    code = "DEGREE_OUT_OF_RANGE"
 
 
 class AmbientMismatch(DomainError):
     """Cohomology elements live in different ambient groups."""
 
-    code = "AMBIENT_MISMATCH"
-
 
 class ShapeMismatch(DomainError):
     """A supplied linear map does not match source/target coordinates."""
-
-    code = "SHAPE_MISMATCH"
 
 
 class LengthMismatch(DomainError):
     """Coordinate lists of unequal length."""
 
-    code = "LENGTH_MISMATCH"
-
 
 class NoUnitSummand(DomainError):
     """Reduced K-theory requires a free Z summand to split off."""
-
-    code = "NO_UNIT_SUMMAND"
 
 
 class InvalidDimension(DomainError):
     """Torus dimension must be at least 1."""
 
-    code = "INVALID_DIMENSION"
-
 
 class NotModTwo(DomainError):
     """Steenrod squares require characteristic 2."""
-
-    code = "NOT_MOD_TWO"
 
 
 class NotOddPrime(DomainError):
     """Steenrod powers require an odd prime characteristic."""
 
-    code = "NOT_ODD_PRIME"
-
 
 class Inhomogeneous(DomainError):
     """Operation requires a homogeneous ring element."""
-
-    code = "INHOMOGENEOUS"
 
 
 class Undetermined(DomainError):
     """A generator value is neither axiom-forced nor supplied."""
 
-    code = "UNDETERMINED"
-
 
 class WrongDegree(DomainError):
     """Ring element has the wrong degree for this operation."""
-
-    code = "WRONG_DEGREE"
 
 
 class InvalidInput(DomainError):
     """A document or value without a meaning: a JSON document that is not
     an object, a rational with a zero denominator."""
 
-    code = "INVALID_INPUT"
-
 
 class NotASublattice(DomainError):
     """Quotient requested by generators that do not lie in the lattice."""
-
-    code = "NOT_A_SUBLATTICE"

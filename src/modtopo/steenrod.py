@@ -129,8 +129,8 @@ class ModPRingPresentation:
             if len(degs) > 1:
                 raise Inhomogeneous(f"relation {self.poly_str(rel)} is not homogeneous (degrees {degs})")
             self._queue(degs[0], rel)
-        # (k, monomial) -> its value in normal form; k = None is beta
-        self._mono_values: dict[tuple[int | None, Mono], Poly] = {}
+        # (k, monomial) -> its normal form or its Undetermined message; k = None is beta
+        self._mono_values: dict[tuple[int | None, Mono], Poly | str] = {}
 
     # -- input normalization ---------------------------------------------
 
@@ -360,7 +360,7 @@ class ModPRingPresentation:
     # -- generator-level operation values ------------------------------------
 
     def _power_mono(self, idx: int, e: int) -> Mono:
-        return tuple(e if i == idx else 0 for i in range(len(self.names)))
+        return (0,) * idx + (e,) + (0,) * (len(self.names) - idx - 1)
 
     def _free_value(self, k: int | None, idx: int) -> Poly:
         """Sq^k (p = 2) or St^k (odd p) of a generator, or beta for k = None,
@@ -384,47 +384,65 @@ class ModPRingPresentation:
         """Sq^k (p = 2) or St^k (odd p) of a monomial, or beta for k = None,
         in normal form, memoized.
 
-        A monomial of several generators is its first generator's power times
-        the rest, and a power x^e is x^(e//2) times x^(e - e//2).  The total
-        operation is a ring map and beta a derivation (Steenrod and Epstein
-        1962, ch. I), so Cartan, or Leibniz, combines the values of the two
-        factors, the rest's first.  A term is skipped once either factor is
-        0, so a missing table value raises Undetermined only where a nonzero
-        term needs it.  The recursion is as deep as the monomial's generators
-        plus the bit length of its largest exponent.
+        A monomial of several generators is the lower half of its generators
+        by index times the upper half, and a power x^e is x^(e//2) times
+        x^(e - e//2).  The total operation is a ring map and beta a
+        derivation (Steenrod and Epstein 1962, ch. I), so Cartan, or Leibniz,
+        combines the values of the two factors.  A term is skipped once either
+        factor is 0, so a missing table value raises Undetermined only where a
+        nonzero term needs it; where the halves raise, the first generator's
+        power times the rest is tried, which answers wherever peeling one
+        generator per level does, and so is as deep as the monomial's
+        generators plus the bit length of its largest exponent.
         """
+        value = self._op_value(k, mono)
+        if isinstance(value, str):
+            raise Undetermined(value)
+        return value
+
+    def _op_value(self, k: int | None, mono: Mono) -> Poly | str:
+        """:meth:`op_mono`'s value, or the message of the Undetermined it raises."""
         key = (k, mono)
         value = self._mono_values.get(key)
         if value is not None:
             return value
-        gens = [i for i, e in enumerate(mono) if e]
+        gens = list(itertools.compress(range(len(mono)), mono))
         if k == 0:
             value = self.reduce({mono: 1})
         elif not gens:
             value = {}
         elif len(gens) == 1 and mono[gens[0]] == 1:
-            value = self.reduce(self._free_value(k, gens[0]))
+            try:
+                value = self.reduce(self._free_value(k, gens[0]))
+            except Undetermined as exc:
+                value = str(exc)
         else:
-            idx = gens[0]
-            first = self._power_mono(idx, mono[idx] if len(gens) > 1 else mono[idx] // 2)
-            rest = tuple(map(sub, mono, first))
-            if k is None:  # beta(ab) = beta(a) b + (-1)^|a| a beta(b)
-                terms = [(None, 0, 1), (0, None, -1 if self.mono_degree(first) % 2 else 1)]
-            else:  # Sq^k(ab) = sum of Sq^i(a) Sq^(k-i)(b), without the terms that vanish
-                low = max(0, k - self.mono_degree(rest) // self.weight)
-                high = min(k, self.mono_degree(first) // self.weight)
-                terms = [(i, k - i, 1) for i in range(low, high + 1)]
-            acc: Poly = {}
-            for i, j, sign in terms:
-                try:
-                    right = self.op_mono(j, rest)
-                except Undetermined:
-                    if self.op_mono(i, first):  # the term needs the missing value
-                        raise
-                    continue
-                if right:
-                    self._mul_into(acc, self.op_mono(i, first), right, sign)
-            value = self.reduce(acc)
+            if len(gens) == 1:
+                firsts = [self._power_mono(gens[0], mono[gens[0]] // 2)]
+            else:  # the generators below a cut: the halves, then the first one's power
+                cuts = dict.fromkeys((gens[len(gens) // 2], gens[1]))  # one cut below four generators
+                firsts = [mono[:cut] + (0,) * (len(mono) - cut) for cut in cuts]
+            for first in firsts:
+                rest = tuple(map(sub, mono, first))
+                if k is None:  # beta(ab) = beta(a) b + (-1)^|a| a beta(b)
+                    terms = [(None, 0, 1), (0, None, -1 if self.mono_degree(first) % 2 else 1)]
+                else:  # Sq^k(ab) = sum of Sq^i(a) Sq^(k-i)(b), without the terms that vanish
+                    low = max(0, k - self.mono_degree(rest) // self.weight)
+                    high = min(k, self.mono_degree(first) // self.weight)
+                    terms = [(i, k - i, 1) for i in range(low, high + 1)]
+                acc: Poly = {}
+                for i, j, sign in terms:
+                    right = self._op_value(j, rest)
+                    left = right and self._op_value(i, first)
+                    if not left:  # a factor is 0, and so is the term
+                        continue
+                    if isinstance(left, str) or isinstance(right, str):  # the term needs a missing value
+                        value = left if isinstance(left, str) else right
+                        break
+                    self._mul_into(acc, left, right, sign)
+                else:
+                    value = self.reduce(acc)
+                    break
         self._mono_values[key] = value
         return value
 

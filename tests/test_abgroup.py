@@ -19,10 +19,11 @@ from modtopo.abgroup import (
     smith_normal_form,
     solve_integer,
 )
-from modtopo.errors import DimensionMismatch, NotAComplex
+from modtopo.errors import DimensionMismatch, InvalidInput, NotAComplex
 
 from helpers import (
     cofactor_det,
+    deadline,
     ext_via_presentation,
     gcd_of_k_minors,
     hom_via_presentation,
@@ -191,6 +192,19 @@ def test_from_divisors_crt():
 def test_primary_decomposition_display():
     assert FgAbGroup.cyclic(12).primary_decomposition() == (3, 4)
     assert FgAbGroup(1, (2, 6)).primary_decomposition() == (2, 2, 3)
+
+
+def test_primary_decomposition_trial_divides_only_below_its_bound():
+    # a cofactor without a factor below 2**16 is kept if prime, and refused
+    # otherwise, rather than trial-divided up to its square root
+    mersenne = 2**61 - 1
+    with deadline(1, "a 61-bit prime"):
+        assert FgAbGroup.cyclic(mersenne).primary_decomposition() == (mersenne,)
+        assert FgAbGroup(0, (6 * mersenne,)).primary_decomposition() == (2, 3, mersenne)
+        assert FgAbGroup.cyclic(65521 * 65537).primary_decomposition() == (65521, 65537)
+    for d in (1000000007 * 998244353, 65537**2):
+        with deadline(1, "a product of large primes"), pytest.raises(InvalidInput, match=f"^{d} is not prime"):
+            FgAbGroup.cyclic(d).primary_decomposition()
 
 
 def test_str_forms():

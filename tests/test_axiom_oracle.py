@@ -20,12 +20,12 @@ gives the same value.
 import random
 from itertools import product
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 from helpers import reference_axiom_report, reference_op_mono
 from modtopo.errors import Undetermined
-from modtopo.steenrod import ModPRingPresentation, axiom_report
+from modtopo.steenrod import ModPRingPresentation, axiom_report, bockstein, sq, st
 
 
 def _term(draw, p, gens, degree):
@@ -141,6 +141,54 @@ def test_permuting_the_generators_keeps_the_verdict_and_its_kinds(case, rng):
     # Leibniz extensions rest on, so what follows from it may depend on the order
     if "DEGREE" not in one:
         assert one == other
+
+
+@settings(max_examples=80, deadline=None)
+@given(presentations(complete=True), hs.randoms(use_true_random=False))
+def test_renaming_the_generators_maps_sq_st_and_bockstein_by_the_renaming(case, rng):
+    # where the table passes to the quotient (a clean report to the degree of
+    # every relation), the operations are maps of the ring, so renaming and
+    # reordering the generators maps their answers by the renaming; normal
+    # forms follow the order, so answers are compared by equality in the ring
+    p, gens, relations, operations, max_degree = case
+    pres = ModPRingPresentation(p, gens, relations, operations)
+    report = axiom_report(pres, 4)  # relations have degree <= 4
+    assume(not report.violations and not any(report.skipped.values()))
+    order = list(gens)
+    rng.shuffle(order)
+    if p != 2:  # the odd-degree generators keep their order, as above
+        in_order = iter([g for g in gens if g[1] % 2])
+        order = [next(in_order) if d % 2 else (n, d) for n, d in order]
+    labels = [f"g{i}" for i in range(len(gens))]
+    rng.shuffle(labels)
+    new = {name: label for (name, _), label in zip(order, labels)}
+
+    def rename(raw):
+        return raw and [(c, {new[n]: e for n, e in mono.items()}) for c, mono in raw]
+
+    renamed = ModPRingPresentation(
+        p,
+        [(new[n], d) for n, d in order],
+        [rename(r) for r in relations],
+        {(*key[:-1], new[key[-1]]): rename(value) for key, value in operations.items()},
+    )
+
+    def image(x):
+        raw = [(c, {pres.names[i]: e for i, e in enumerate(m) if e}) for m, c in x.poly.items()]
+        return renamed.element(rename(raw) or 0)
+
+    op = sq if p == 2 else st
+    odd = [d % 2 and p != 2 for _, d in gens]
+    for exps in product(range(4), repeat=len(gens)):
+        degree = sum(e * d for e, (_, d) in zip(exps, gens))
+        if degree > max_degree or any(e > 1 and o for e, o in zip(exps, odd)):
+            continue
+        mono = {name: e for e, (name, _) in zip(exps, gens) if e}
+        x, y = pres.element([(1, mono)]), renamed.element(rename([(1, mono)]))
+        assert image(x) == y
+        assert image(bockstein(x)) == bockstein(y)
+        for k in range(degree // pres.weight + 2):
+            assert image(op(k, x)) == op(k, y)
 
 
 @settings(max_examples=80, deadline=None)

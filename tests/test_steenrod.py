@@ -277,6 +277,30 @@ def test_a_monomial_past_the_evaluation_depth_is_refused_before_anything_is_buil
     assert sq(1, top) == top * x
 
 
+def _product_of_lines(n, degree=1):
+    pres = ModPRingPresentation(2, [(f"g{i}", degree) for i in range(n)])
+    return pres, pres.element([(1, {f"g{i}": 1 for i in range(n)})])
+
+
+def test_a_monomial_of_many_generators_costs_what_the_answer_costs():
+    # Sq^1 of g0*...*g499 is the sum of its 500 terms g0*...*gi^2*...*g499;
+    # halving the generators keeps the products as short as the answer,
+    # where peeling one generator per level multiplies 500-long tuples
+    # at each of 500 levels
+    pres, x = _product_of_lines(500)
+    want = pres.element([(1, {f"g{j}": 2 if j == i else 1 for j in range(500)}) for i in range(500)])
+    with deadline(2, "Sq^1 of 500 generators"), allocation_cap(100 * 2**20, "Sq^1 of 500 generators"):
+        assert sq(1, x) == want
+
+
+def test_a_missing_value_under_many_generators_raises_without_retrying_each_split():
+    # every Sq^1 is missing, so each split of Sq^2 raises; the raise is
+    # memoized, so the fallback to peeling one generator does not redo the halves
+    _, x = _product_of_lines(200, degree=2)
+    with deadline(1, "Sq^2 of 200 generators with Sq^1 missing"), pytest.raises(Undetermined):
+        sq(2, x)
+
+
 def test_w3_from_w2():
     pres = ModPRingPresentation(
         2,
