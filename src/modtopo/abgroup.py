@@ -23,6 +23,7 @@ twisted K-theory path.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -41,6 +42,8 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 MAX_MATRIX_SIDE = 2**16
 # the Smith transforms left and right hold rows^2 + cols^2 entries
 MAX_TRANSFORM_ENTRIES = 2**22
+# a group operation's torsion list, whose length its operands give, is not built past this
+MAX_INVARIANT_FACTORS = 2**20
 
 
 def is_prime(n: int) -> bool:
@@ -100,6 +103,13 @@ class FrozenValue:
     This base exists for start-up cost: the standard library's class
     generator loads ``inspect`` and execs code for every class, which costs
     a CLI process more than most commands' own work.
+
+    Exactness is checked here, from the annotation strings that
+    ``from __future__ import annotations`` leaves: a field annotated ``int``,
+    ``None``, a class its module names (a value class, say), a union of
+    those, or ``tuple[T, ...]`` of one, refuses any other type, a bool or a
+    float too, with TypeError before ``__post_init__`` runs, and a tuple
+    field is made a tuple.  Other annotations are not checked.
     """
 
     def __init_subclass__(cls):
@@ -107,6 +117,14 @@ class FrozenValue:
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {n: vars(cls)[n] for n in cls._fields if n in vars(cls)}
         cls._key = attrgetter(*cls._fields)
+        scope = vars(sys.modules[cls.__module__]).items()  # the names the annotations read
+        known = {n: c for n, c in scope if isinstance(c, type)} | {"int": int, "None": type(None)}
+        cls._exact = {}
+        for name, note in cls.__annotations__.items():
+            many = str(note).startswith("tuple[") and note.endswith(", ...]")
+            kinds = {known.get(t) for t in str(note[6:-6] if many else note).split(" | ")}
+            if None not in kinds:  # every name in the annotation is known
+                cls._exact[name] = (note, kinds, many)
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -123,6 +141,11 @@ class FrozenValue:
                 )
             args = [values[n] for n in names]
         for name, value in zip(names, args):
+            if name in self._exact:
+                note, kinds, many = self._exact[name]
+                value = tuple(value) if many else value  # a tuple is returned as it is
+                if wrong := ({*map(type, value)} if many else {type(value)}) - kinds:
+                    raise TypeError(f"{type(self).__name__}.{name} takes {note}, not {wrong.pop().__name__}")
             object.__setattr__(self, name, value)
         self.__post_init__()
 
@@ -155,16 +178,12 @@ class IntMatrix(FrozenValue):
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        ents = self.entries if type(self.entries) is tuple else tuple(self.entries)
-        if not {type(self.rows), type(self.cols), *map(type, ents)} <= {int}:
-            raise TypeError("matrix shape and entries must be int (not bool, float or str)")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(ents) != self.rows * self.cols:
+        if len(self.entries) != self.rows * self.cols:
             raise ValueError(
-                f"entry count {len(ents)} != rows*cols = {self.rows * self.cols}"
+                f"entry count {len(self.entries)} != rows*cols = {self.rows * self.cols}"
             )
-        object.__setattr__(self, "entries", ents)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntMatrix":
@@ -565,6 +584,15 @@ def _coprime_base(values) -> list[int]:
     return base
 
 
+def _listed(op: str, a: tuple[int, ...], b: tuple[int, ...], *repeats) -> list[int]:
+    """The torsion ``op`` lists before canonicalizing: the factors of each
+    (factors, n) of ``repeats`` n times, then gcd(x, y) over x in ``a`` and y
+    in ``b``; InvalidInput, before any is listed, past MAX_INVARIANT_FACTORS."""
+    if (count := len(a) * len(b) + sum(len(f) * n for f, n in repeats)) > MAX_INVARIANT_FACTORS:
+        raise InvalidInput(f"{op} lists {count} torsion factors, past {MAX_INVARIANT_FACTORS}")
+    return [*(d for f, n in repeats if f for d in f * n), *(gcd(x, y) for x in a for y in b)]
+
+
 class FgAbGroup(FrozenValue):
     """Finitely generated abelian group in invariant-factor canonical form.
 
@@ -578,15 +606,10 @@ class FgAbGroup(FrozenValue):
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        facs = self.invariant_factors
-        facs = facs if type(facs) is tuple else tuple(facs)
-        if type(self.rank) is not int or not {*map(type, facs)} <= {int}:
-            raise TypeError("rank and invariant factors must be int (not bool or float)")
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
-        object.__setattr__(self, "invariant_factors", facs)
         prev = None
-        for d in facs:
+        for d in self.invariant_factors:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2; canonicalize with from_divisors")
             if prev is not None and d % prev:
@@ -614,8 +637,7 @@ class FgAbGroup(FrozenValue):
         and the remaining torsion is merged into a divisibility chain in
         one pass over a coprime base of the orders (see :meth:`_canonical`).
         """
-        if not {*map(type, divisors)} <= {int}:
-            raise TypeError("divisors must be int (not bool or float)")
+        require_ints("divisors", *divisors)
         return cls._canonical(divisors.count(0), map(abs, divisors))
 
     @classmethod
@@ -674,11 +696,8 @@ class FgAbGroup(FrozenValue):
         return FgAbGroup._canonical(self.rank + other.rank, tors)
 
     def repeated_sum(self, copies: int) -> "FgAbGroup":
-        """Direct sum of ``copies`` copies of this group."""
-        if copies < 0:
-            raise ValueError("copies must be nonnegative")
-        tors = self.invariant_factors * copies if self.invariant_factors else ()  # () * 2**63 raises
-        return FgAbGroup._canonical(self.rank * copies, tors)
+        """Direct sum of ``copies`` copies of this group: its tensor with Z^copies."""
+        return self.tensor(FgAbGroup.free(copies))
 
     def tensor(self, other: "FgAbGroup") -> "FgAbGroup":
         """A (x) B over Z.
@@ -687,25 +706,23 @@ class FgAbGroup(FrozenValue):
         Z/a (x) Z/b = Z/gcd(a, b).
         """
         a, b = self.invariant_factors, other.invariant_factors
-        tors = [*b * self.rank, *a * other.rank, *(gcd(x, y) for x in a for y in b)]
+        tors = _listed("tensor", a, b, (b, self.rank), (a, other.rank))
         return FgAbGroup._canonical(self.rank * other.rank, tors)
 
     def tor(self, other: "FgAbGroup") -> "FgAbGroup":
         """Tor_1(A, B): vanishes against free groups, Z/gcd on cyclic pairs."""
-        divs = [gcd(a, b) for a in self.invariant_factors for b in other.invariant_factors]
-        return FgAbGroup.from_divisors(*divs)
+        return FgAbGroup._canonical(0, _listed("tor", self.invariant_factors, other.invariant_factors))
 
     def hom(self, other: "FgAbGroup") -> "FgAbGroup":
         """Hom(A, B): Hom(Z, G) = G, Hom(Z/a, Z) = 0, Hom(Z/a, Z/b) = Z/gcd."""
         a, b = self.invariant_factors, other.invariant_factors
-        tors = [*b * self.rank, *(gcd(x, y) for x in a for y in b)]
+        tors = _listed("hom", a, b, (b, self.rank))
         return FgAbGroup._canonical(self.rank * other.rank, tors)
 
     def ext(self, other: "FgAbGroup") -> "FgAbGroup":
         """Ext^1(A, B): Ext(Z, G) = 0, Ext(Z/a, Z) = Z/a, Ext(Z/a, Z/b) = Z/gcd."""
-        divs = [a for a in self.invariant_factors] * other.rank
-        divs += [gcd(a, b) for a in self.invariant_factors for b in other.invariant_factors]
-        return FgAbGroup.from_divisors(*divs)
+        a, b = self.invariant_factors, other.invariant_factors
+        return FgAbGroup._canonical(0, _listed("ext", a, b, (a, other.rank)))
 
     def is_isomorphic(self, other: "FgAbGroup") -> bool:
         """True exactly when canonical forms agree field by field."""

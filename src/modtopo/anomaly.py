@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .abgroup import FgAbGroup, FrozenValue, IntMatrix, as_int, json_shape, require_ints
+from .abgroup import FgAbGroup, FrozenValue, IntMatrix, as_int, json_shape
 from .errors import AmbientMismatch, InvalidInput, LengthMismatch, ShapeMismatch
 
 
@@ -42,8 +42,7 @@ class CohomologyElement(FrozenValue):
     torsion_coords: tuple[int, ...] = ()
 
     def __post_init__(self):
-        free, tors = tuple(self.free_coords), tuple(self.torsion_coords)
-        require_ints("coordinates", *free, *tors)
+        free, tors = self.free_coords, self.torsion_coords
         if len(free) != self.ambient.rank:
             raise ShapeMismatch(
                 f"{len(free)} free coordinates for rank {self.ambient.rank}"
@@ -54,7 +53,6 @@ class CohomologyElement(FrozenValue):
                 f"{len(self.ambient.invariant_factors)} factors"
             )
         tors = tuple(v % d for v, d in zip(tors, self.ambient.invariant_factors))
-        object.__setattr__(self, "free_coords", free)
         object.__setattr__(self, "torsion_coords", tors)
 
     @classmethod
@@ -186,13 +184,10 @@ def d3_action(
 class RationalClass(FrozenValue):
     """Rational coordinates over a chosen integral basis of H^4."""
 
-    coords: tuple[Fraction, ...]
+    coords: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        coords = tuple(self.coords)
-        if any(isinstance(c, (bool, float)) for c in coords):
-            raise TypeError("rational coordinates must be exact (not bool or float)")
-        object.__setattr__(self, "coords", tuple(map(Fraction, coords)))
+        object.__setattr__(self, "coords", tuple(map(Fraction, self.coords)))
 
     @classmethod
     def from_strings(cls, items) -> "RationalClass":

@@ -13,7 +13,7 @@ torsion is annihilated); field coefficients Z/p are the torsion groups
 
 from __future__ import annotations
 
-from .abgroup import FgAbGroup, FrozenValue, IntMatrix, as_int, is_prime, json_shape, require_ints
+from .abgroup import FgAbGroup, FrozenValue, IntMatrix, as_int, is_prime, json_shape
 
 
 class GradedCohomology(FrozenValue):
@@ -23,10 +23,8 @@ class GradedCohomology(FrozenValue):
     label: str = ""
 
     def __post_init__(self):
-        gs = tuple(self.groups)
-        if not gs:
+        if not self.groups:
             raise ValueError("a graded value needs at least degree 0")
-        object.__setattr__(self, "groups", gs)
 
     @property
     def top_degree(self) -> int:
@@ -66,11 +64,6 @@ class BettiTable(FrozenValue):
     """Ranks by degree (torsion ignored)."""
 
     values: tuple[int, ...]
-
-    def __post_init__(self):
-        values = tuple(self.values)
-        require_ints("Betti numbers", *values)
-        object.__setattr__(self, "values", values)
 
     def to_json(self) -> list[int]:
         return list(self.values)

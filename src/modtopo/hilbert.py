@@ -51,7 +51,6 @@ class CompactHilbertSpec(FrozenValue):
     dim_weight2: int = 0
 
     def __post_init__(self):
-        require_ints("n and dim_weight2", self.n, self.dim_weight2)
         if self.n < 1:
             raise ValueError("need at least one half-plane factor")
         if self.dim_weight2 < 0:
@@ -98,7 +97,7 @@ class CuspidalHilbertSpec(FrozenValue):
     def __post_init__(self):
         shared = type(self.cusp_dims) is int
         dims = {0: self.cusp_dims} if shared else dict(self.cusp_dims)
-        require_ints("n, cusps and cusp dimensions", self.n, self.num_cusps, *dims, *dims.values())
+        require_ints("cusp dimensions", *dims, *dims.values())
         if self.n < 1:
             raise ValueError("need at least one half-plane factor")
         if self.num_cusps < 1:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modtopo.abgroup import (
+    MAX_INVARIANT_FACTORS,
     FgAbGroup,
     IntMatrix,
     cohomology_of_cochain_complex,
@@ -22,6 +23,7 @@ from modtopo.abgroup import (
 from modtopo.errors import DimensionMismatch, InvalidInput, NotAComplex
 
 from helpers import (
+    allocation_cap,
     cofactor_det,
     deadline,
     ext_via_presentation,
@@ -391,3 +393,44 @@ def test_dual_complex_shapes():
     bnds = [IntMatrix.zeros(1, 2), IntMatrix.zeros(2, 3)]
     duals = dual_complex(bnds)
     assert [(d.rows, d.cols) for d in duals] == [(2, 1), (3, 2)]
+
+
+# -- the answer-size guard of the group operations ------------------------------
+
+BILLION = FgAbGroup(10**9, (2,))
+CHAIN = FgAbGroup(0, tuple(2**k for k in range(1, 1100)))  # 1,099 factors
+
+
+@pytest.mark.parametrize(
+    "build,listing",
+    [
+        (lambda: BILLION.tensor(FgAbGroup(10**9, (3,))), f"tensor lists {2 * 10**9 + 1}"),
+        (lambda: BILLION.hom(FgAbGroup.cyclic(3)), f"hom lists {10**9 + 1}"),
+        (lambda: FgAbGroup.cyclic(2).ext(BILLION), f"ext lists {10**9 + 1}"),
+        (lambda: FgAbGroup.cyclic(2).repeated_sum(10**9), f"tensor lists {10**9}"),  # with Z^copies
+        (lambda: CHAIN.tor(CHAIN), f"tor lists {1099**2}"),
+    ],
+    ids=["tensor", "hom", "ext", "repeated_sum", "tor"],
+)
+def test_group_operations_refuse_a_torsion_list_past_the_cap_before_building_it(build, listing):
+    with deadline(1, "the torsion was listed"), allocation_cap(2**20, "a refused torsion list"):
+        with pytest.raises(InvalidInput, match=f"^{listing} torsion factors, past {MAX_INVARIANT_FACTORS}$"):
+            build()
+
+
+def test_the_torsion_cap_admits_a_list_of_its_own_length():
+    two = FgAbGroup.cyclic(2)
+    assert two.repeated_sum(MAX_INVARIANT_FACTORS) == FgAbGroup(0, (2,) * MAX_INVARIANT_FACTORS)
+    with pytest.raises(InvalidInput):
+        two.repeated_sum(MAX_INVARIANT_FACTORS + 1)
+
+
+def test_free_groups_of_any_rank_list_no_torsion():
+    # an empty torsion tuple repeated 2**63 times once raised OverflowError
+    huge = FgAbGroup.free(2**63)
+    assert huge.tensor(Z) == huge.hom(Z) == huge
+    assert huge.ext(huge).is_trivial and huge.tor(huge).is_trivial
+    assert huge.tensor(huge) == FgAbGroup.free(2**126)
+    assert FgAbGroup.trivial().repeated_sum(2**200).is_trivial
+    with pytest.raises(InvalidInput):  # 2**63 copies of Z/2 are past the cap
+        FgAbGroup.cyclic(2).tensor(huge)

@@ -635,3 +635,47 @@ def test_a_deeply_nested_document_is_a_usage_error(capsys, monkeypatch, tmp_path
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("usage error") and "Traceback" not in err
+
+
+BILLION_TENSOR = '{"op":"tensor","a":{"rank":1000000000,"torsion":[2]},"b":{"rank":1000000000,"torsion":[3]}}'
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (("group",), json.loads(BILLION_TENSOR)),
+        (("group",), {"op": "hom", "a": {"rank": 10**9, "torsion": [2]}, "b": {"rank": 0, "torsion": [3]}}),
+        (("group",), {"op": "ext", "a": {"rank": 0, "torsion": [2]}, "b": {"rank": 10**9, "torsion": []}}),
+        (
+            ("kunneth",),
+            {
+                "x": {"top_degree": 0, "groups": [{"rank": 10**9, "torsion": [2]}]},
+                "y": {"top_degree": 0, "groups": [{"rank": 1, "torsion": [3]}]},
+            },
+        ),
+    ],
+    ids=["group tensor", "group hom", "group ext", "kunneth"],
+)
+def test_a_billion_rank_is_refused_before_its_torsion_is_listed(capsys, tmp_path, argv, doc):
+    path = write_json(tmp_path, "in.json", doc)
+    with deadline(1, "the torsion list was built"), allocation_cap(2**20, "a refused torsion list"):
+        code, out, err = invoke(capsys, *argv, "--json", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error[INVALID_INPUT]: ") and err.endswith(" torsion factors, past 1048576\n")
+    assert err.count("\n") == 1
+
+
+def test_a_billion_rank_tensor_is_refused_as_a_process():
+    import resource
+
+    def cap_memory():  # a tensor built unguarded would otherwise take the machine's memory
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "modtopo.cli", "group"],
+        input=BILLION_TENSOR, capture_output=True, text=True, env=env, timeout=10, preexec_fn=cap_memory,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error[INVALID_INPUT]: tensor lists 2000000001 torsion factors, past 1048576\n"

@@ -1,8 +1,15 @@
 """Constructors reject inexact entries instead of coercing them with int()."""
 
+import importlib
+import pkgutil
+import sys
+from fractions import Fraction
+
 import pytest
 
-from modtopo.abgroup import FgAbGroup, IntMatrix
+import modtopo
+from modtopo.abgroup import FgAbGroup, FrozenValue, IntMatrix, SnfResult
+from test_values import sample_args
 
 
 def test_int_matrix_rejects_float_and_bool_entries():
@@ -164,3 +171,114 @@ def test_ring_presentation_rejects_float_and_bool_zero_polynomials():
             ModPRingPresentation(2, [("x", 2)], operations={("Sq", 1, "x"): zero})
     assert pres.element(0).poly == {} and pres.element("0").poly == {} and pres.element(None).poly == {}
     assert ModPRingPresentation(2, [("x", 1)], [0]).raw_relations == ({},)
+
+
+# -- one check in FrozenValue, walked over every value type ------------------
+
+
+def value_classes():
+    """Every FrozenValue subclass the package defines, after importing all of
+    its modules, by class name."""
+    for module in pkgutil.iter_modules(modtopo.__path__):
+        importlib.import_module(f"modtopo.{module.name}")
+    found, todo = {}, [FrozenValue]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("modtopo."):
+                found[cls.__name__] = cls
+    return found
+
+
+def inexact_values(cls):
+    """(field index, field, wrong value) for each field annotated int, a value
+    class, a union of one with None or a class its module names, or a tuple
+    of one of those: a float and a bool where an int belongs, a plain int
+    where only a value class does."""
+    scope = vars(sys.modules[cls.__module__])
+    for i, (name, note) in enumerate(cls.__annotations__.items()):
+        many = note.startswith("tuple[") and note.endswith(", ...]")
+        kinds = (note[6:-6] if many else note).split(" | ")
+        if not all(k in ("int", "None") or isinstance(scope.get(k), type) for k in kinds):
+            continue
+        if "int" in kinds:
+            wrong = [1.0, True]
+        elif any(issubclass(scope.get(k, type(None)), FrozenValue) for k in kinds):
+            wrong = [1]
+        else:
+            continue
+        for value in wrong:
+            yield i, name, (value,) if many else value
+
+
+VALUE_CLASSES = value_classes()
+
+
+def test_the_walk_reaches_every_value_type():
+    assert set(VALUE_CLASSES) == set(sample_args()) | {"SweepReport"}
+    checked = {(name, field) for name, cls in VALUE_CLASSES.items() for _, field, _ in inexact_values(cls)}
+    assert {("SweepReport", "cases"), ("KPair", "k0"), ("RationalClass", "coords")} <= checked
+    assert len(checked) >= 37
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
+def test_every_value_type_refuses_floats_bools_and_wrong_classes(name):
+    cls = VALUE_CLASSES[name]
+    args = {**sample_args(), "SweepReport": ("sweep", 3, ((1, 2),))}[name]
+    cls(*args)
+    for i, field, value in inexact_values(cls):
+        with pytest.raises(TypeError, match=rf"^{name}\.{field} takes "):
+            cls(*args[:i], value, *args[i + 1 :])
+
+
+def test_the_public_types_that_took_floats_refuse_them():
+    from modtopo.anomaly import CohomologyElement, HilbertAnomalyReport
+    from modtopo.graded import GradedCohomology
+    from modtopo.hilbert import CuspidalBetti, FiltrationDims, HodgeSlice
+    from modtopo.ktheory import KPair
+
+    eye = IntMatrix.identity(1)
+    for build in (
+        lambda: SnfResult((2.0,), eye, eye, eye, eye),
+        lambda: CuspidalBetti(1.5, 0, 0, 1.5, False),
+        lambda: FiltrationDims(0.5, 1),
+        lambda: HilbertAnomalyReport(1.5, None, "x"),
+        lambda: HodgeSlice(1.0, {(0, 0, "u"): 0.5}, ()),
+        lambda: KPair(1.0, 2.0),
+        lambda: GradedCohomology((1.0,)),
+        lambda: CohomologyElement(3, (), ()),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_tuple_fields_are_made_tuples_and_checked_before_post_init():
+    from modtopo.anomaly import RationalClass
+    from modtopo.graded import GradedCohomology
+
+    with pytest.raises(TypeError, match=r"^RationalClass\.coords takes tuple\[int \| Fraction, \.\.\.\], not str$"):
+        RationalClass(("1/2",))  # exact, but a string is read by from_strings
+
+    assert GradedCohomology([FgAbGroup(1)]).groups == (FgAbGroup(1),)
+    assert IntMatrix(1, 2, iter([3, 4])).entries == (3, 4)
+    # a negative float rank would fail __post_init__'s ValueError; the type check comes first
+    with pytest.raises(TypeError, match=r"^FgAbGroup\.rank takes int, not float$"):
+        FgAbGroup(-1.0)
+    with pytest.raises(TypeError, match=r"^IntMatrix\.entries takes tuple\[int, \.\.\.\], not str$"):
+        IntMatrix(1, 1, "7")
+
+
+def test_a_class_named_like_a_library_class_does_not_shadow_it():
+    from modtopo.ktheory import KPair
+
+    impostor = type("FgAbGroup", (FrozenValue,), {"__annotations__": {"rank": "int"}})
+    with pytest.raises(TypeError, match=r"^KPair\.k0 takes FgAbGroup"):
+        KPair(impostor(1), FgAbGroup())
+    assert KPair(FgAbGroup(1), FgAbGroup()).k0 == FgAbGroup(1)
+    # a value class defined here reads its annotations in this module
+    pair = type("Pair", (FrozenValue,), {"__annotations__": {"a": "FgAbGroup", "b": "Fraction"}})
+    assert pair(FgAbGroup(), Fraction(1, 2)).b == Fraction(1, 2)
+    with pytest.raises(TypeError, match=r"^Pair\.a takes FgAbGroup"):
+        pair(impostor(1), Fraction(1, 2))
+    with pytest.raises(TypeError, match=r"^Pair\.b takes Fraction, not int$"):
+        pair(FgAbGroup(), 1)

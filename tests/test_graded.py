@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modtopo.abgroup import FgAbGroup, homology_of_complex
+from modtopo.abgroup import FgAbGroup, IntMatrix, homology_of_complex
 from modtopo.graded import (
     BettiTable,
     CoefficientSpec,
@@ -240,3 +242,37 @@ def test_graded_serialization_round_trip():
 
 def test_betti_table_json():
     assert BettiTable((1, 0, 22, 0, 1)).to_json() == [1, 0, 22, 0, 1]
+
+
+# -- order invariance ----------------------------------------------------
+
+groups = st.builds(
+    lambda rank, orders: FgAbGroup.from_divisors(*[0] * rank, *orders),
+    st.integers(0, 2),
+    st.lists(st.integers(2, 12), max_size=2),
+)
+graded = st.lists(groups, min_size=1, max_size=4).map(lambda gs: GradedCohomology(tuple(gs)))
+
+
+@st.composite
+def alternating_complexes(draw):
+    """Chain complexes whose every other boundary is zero, so d o d = 0."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    boundaries = []
+    for m, (r, c) in enumerate(zip(dims, dims[1:])):
+        entries = draw(st.lists(st.integers(-3, 3), min_size=r * c, max_size=r * c))
+        boundaries.append(IntMatrix(r, c, entries if m % 2 == 0 else (0,) * (r * c)))
+    return boundaries
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded, graded)
+def test_kunneth_product_does_not_depend_on_factor_order(x, y):
+    assert kunneth_product(x, y) == kunneth_product(y, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alternating_complexes(), alternating_complexes())
+def test_tensor_product_complex_homology_does_not_depend_on_factor_order(bx, by):
+    xy = homology_of_complex(tensor_product_complex(bx, by))
+    assert xy == homology_of_complex(tensor_product_complex(by, bx))

@@ -3,12 +3,11 @@ import random
 import pytest
 
 from helpers import allocation_cap, deadline
-from modtopo.abgroup import FgAbGroup, IntMatrix, dual_complex
+from modtopo.abgroup import MAX_INVARIANT_FACTORS, FgAbGroup, IntMatrix, dual_complex
 from modtopo.errors import InvalidDimension, InvalidInput, NoUnitSummand
 from modtopo.graded import betti, tensor_product_complex
 from modtopo.ktheory import (
     MAX_D3_GENUS,
-    MAX_TORUS_TORSION,
     CircleBundleSpec,
     KPair,
     k_groups,
@@ -226,7 +225,7 @@ def test_product_with_torus_point_base_matches_torus():
 def test_product_with_torus_refuses_torsion_past_the_cap_before_building_it(torsion, k):
     base = KPair(free_and(1, *torsion), FgAbGroup.trivial())
     with deadline(1, "the torus product was built"), allocation_cap(2**20, "a refused torus product"):
-        with pytest.raises(InvalidInput, match=f"past {MAX_TORUS_TORSION}$"):
+        with pytest.raises(InvalidInput, match=f"past {MAX_INVARIANT_FACTORS}$"):
             product_with_torus(base, k)
 
 

@@ -231,8 +231,9 @@ def test_bockstein_odd_p_leibniz_extension():
 
 
 def test_cartan_and_bockstein_depth_does_not_grow_with_the_exponent():
-    # each level of the recursions peels one generator factor, and these
-    # exponents lie far beyond the interpreter's frame limit
+    # each level of the recursion splits a monomial in halves, by generators
+    # and then a power x^e into x^(e//2) times x^(e - e//2), so these exponents,
+    # far beyond the interpreter's frame limit, need about 13 levels
     x = poly_ring_p2(("x", 1)).gen("x")
     assert sq(1, x**5001) == x**5002  # C(5001, 1) is odd
     assert sq(2, x**5002) == x**5004  # C(5002, 2) is odd
