@@ -26,9 +26,9 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, compress
 from math import gcd
-from operator import attrgetter, mul
+from operator import attrgetter, floordiv, mul
 
 from .errors import DimensionMismatch, InvalidInput, NotAComplex, NotASublattice
 
@@ -106,10 +106,12 @@ class FrozenValue:
 
     Exactness is checked here, from the annotation strings that
     ``from __future__ import annotations`` leaves: a field annotated ``int``,
-    ``None``, a class its module names (a value class, say), a union of
-    those, or ``tuple[T, ...]`` of one, refuses any other type, a bool or a
-    float too, with TypeError before ``__post_init__`` runs, and a tuple
-    field is made a tuple.  Other annotations are not checked.
+    ``bool``, ``str``, ``None``, a class its module names (a value class,
+    say), ``dict[K, int]``, a union of those, or ``tuple[T, ...]`` of one,
+    refuses any other type, a bool or a float too, with TypeError before
+    ``__post_init__`` runs, and a tuple field is made a tuple.  A
+    ``dict[K, int]`` takes a dict whose values are ints; its keys are not
+    checked.  Other annotations are not checked.
     """
 
     def __init_subclass__(cls):
@@ -118,11 +120,15 @@ class FrozenValue:
         cls._defaults = {n: vars(cls)[n] for n in cls._fields if n in vars(cls)}
         cls._key = attrgetter(*cls._fields)
         scope = vars(sys.modules[cls.__module__]).items()  # the names the annotations read
-        known = {n: c for n, c in scope if isinstance(c, type)} | {"int": int, "None": type(None)}
+        known = {n: c for n, c in scope if isinstance(c, type)}
+        known |= {"int": int, "bool": bool, "str": str, "None": type(None)}
         cls._exact = {}
         for name, note in cls.__annotations__.items():
             many = str(note).startswith("tuple[") and note.endswith(", ...]")
-            kinds = {known.get(t) for t in str(note[6:-6] if many else note).split(" | ")}
+            kinds = {
+                dict if t.startswith("dict[") and t.endswith(", int]") else known.get(t)
+                for t in str(note[6:-6] if many else note).split(" | ")
+            }
             if None not in kinds:  # every name in the annotation is known
                 cls._exact[name] = (note, kinds, many)
 
@@ -146,6 +152,8 @@ class FrozenValue:
                 value = tuple(value) if many else value  # a tuple is returned as it is
                 if wrong := ({*map(type, value)} if many else {type(value)}) - kinds:
                     raise TypeError(f"{type(self).__name__}.{name} takes {note}, not {wrong.pop().__name__}")
+                if type(value) is dict and (wrong := {*map(type, value.values())} - {int}):
+                    raise TypeError(f"{type(self).__name__}.{name} takes {note}, not a {wrong.pop().__name__} value")
             object.__setattr__(self, name, value)
         self.__post_init__()
 
@@ -297,9 +305,11 @@ class SnfResult(FrozenValue):
     ``diagonal`` holds the min(rows, cols) diagonal entries: the invariant
     factors (each dividing the next) followed by zeros.  ``left`` and
     ``right`` are unimodular; ``left_inv`` and ``right_inv`` are their exact
-    inverses (so left_inv @ M @ right_inv is the diagonal matrix).  All four
-    are replayed from the elimination's operation log; the lattice helpers
-    replay it onto only the vectors they read and build none of them.
+    inverses (so left_inv @ M @ right_inv is the diagonal matrix).
+    ``left_inv``, ``right`` and ``right_inv`` are replayed from the
+    elimination's operation log onto identities.  ``left`` is read off
+    M V: its pivot columns are M V e_j / |p|, and only its other columns
+    are replayed.  The lattice helpers build none of the four.
     """
 
     diagonal: tuple[int, ...]
@@ -336,8 +346,13 @@ def _sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
     return [{j: v for j, v in enumerate(ents[i * c : (i + 1) * c]) if v} for i in range(m.rows)]
 
 
-def _eye(n: int) -> list[list[int]]:
-    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+def _units(n: int, picked) -> list[list[int]]:
+    """The unit vectors e_c of length n for c in ``picked``, as rows of
+    coordinates: row r holds coordinate r of each."""
+    rows = [[0] * len(picked) for _ in range(n)]
+    for k, c in enumerate(picked):
+        rows[c][k] = 1
+    return rows
 
 
 def _replay(ops, rows: list[list[int]]) -> list[list[int]]:
@@ -346,6 +361,25 @@ def _replay(ops, rows: list[list[int]]) -> list[list[int]]:
     for k, i, q in ops:
         rows[k] = [a - q * b for a, b in zip(rows[k], rows[i])]
     return rows
+
+
+def _v_columns(cops, ncols: int, picked: list[int]) -> list[list[int]]:
+    """The columns V e_c for c in ``picked`` as rows of coordinates, V the
+    product of the column operations of ``cops``: replayed last first."""
+    return _replay([(j, l, q) for l, j, q in reversed(cops)], _units(ncols, picked))
+
+
+def _times(m: IntMatrix, w, width: int) -> list[list[int]]:
+    """Rows of M W, from the rows of W, of which the first ``width`` entries
+    are read.  Each nonzero entry of W meets only the nonzero entries of one
+    column of M, so only a dense M and W cost rows * cols * width products."""
+    out = [[0] * width for _ in range(m.rows)]
+    for col, wc in zip(map(m.column, range(m.cols)), w):
+        nonzero = [(out[i], col[i]) for i in compress(range(m.rows), col)]
+        for k in compress(range(width), wc):
+            for row, a in nonzero:
+                row[k] += a * wc[k]
+    return out
 
 
 def _eliminate(rows: list[dict[int, int]], ncols: int):
@@ -386,8 +420,8 @@ def _eliminate(rows: list[dict[int, int]], ncols: int):
             if w is None:
                 rk[l] = -q * v
                 cols[l].add(k)
-            elif w != q * v:
-                rk[l] = w - q * v
+            elif w := w - q * v:
+                rk[l] = w
             else:
                 del rk[l]
                 cols[l].discard(k)
@@ -477,23 +511,28 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             f"the transforms of a {m.rows} x {m.cols} matrix exceed {MAX_TRANSFORM_ENTRIES} entries"
         )
     diag, pivots, rops, cops = _eliminate(_sparse_rows(m), m.cols)
-    # rows of left_inv, left^T, right and right_inv^T
-    li = _replay(rops, _eye(m.rows))
-    lt = _replay([(i, k, -q) for k, i, q in rops], _eye(m.rows))
-    rr = _replay([(j, l, -q) for l, j, q in cops], _eye(m.cols))
-    rv = _replay(cops, _eye(m.cols))
+    # rows of left_inv, right and right_inv^T
+    li = _replay(rops, _units(m.rows, range(m.rows)))
+    rr = _replay([(j, l, -q) for l, j, q in cops], _units(m.cols, range(m.cols)))
+    rv = _replay(cops, _units(m.cols, range(m.cols)))
     for i, _, p in pivots:
         if p < 0:
             li[i] = [-a for a in li[i]]
-            lt[i] = [-a for a in lt[i]]
-    rperm = dict.fromkeys([*(i for i, _, _ in pivots), *range(m.rows)])
-    cperm = dict.fromkeys([*(j for _, j, _ in pivots), *range(m.cols)])
+    rperm = list(dict.fromkeys([*(i for i, _, _ in pivots), *range(m.rows)]))
+    cperm = list(dict.fromkeys([*(j for _, j, _ in pivots), *range(m.cols)]))
+    ri = list(zip(*(rv[j] for j in cperm)))  # rows of right_inv, which starts with V e_j over the pivots
+    # left is U^-1 with column i negated where row i of left_inv is: it starts
+    # with M V e_j / |p| over the pivots (i, j, p), since U M V e_j = p e_i,
+    # then U^-1 e_f for the other rows f, the inverse row operations last first
+    rest = _replay([(k, i, -q) for k, i, q in reversed(rops)], _units(m.rows, rperm[len(pivots) :]))
+    scale = [abs(p) for _, _, p in pivots]
+    left = [[*map(floordiv, mv, scale), *f] for mv, f in zip(_times(m, ri, len(pivots)), rest)]
     return SnfResult(
         diagonal=diag,
-        left=IntMatrix.from_rows(list(zip(*(lt[i] for i in rperm))), cols=m.rows),
+        left=IntMatrix.from_rows(left, cols=m.rows),
         right=IntMatrix.from_rows([rr[j] for j in cperm], cols=m.cols),
         left_inv=IntMatrix.from_rows([li[i] for i in rperm], cols=m.rows),
-        right_inv=IntMatrix.from_rows(list(zip(*(rv[j] for j in cperm))), cols=m.cols),
+        right_inv=IntMatrix.from_rows(ri, cols=m.cols),
     )
 
 
@@ -504,19 +543,15 @@ def matrix_rank(m: IntMatrix) -> int:
 def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the integer solution lattice of M x = 0, as columns."""
     _, pivots, _, cops = _eliminate(_sparse_rows(m), m.cols)
-    # V e_f for the non-pivot columns f: the column operations, last first
     free = sorted({*range(m.cols)} - {j for _, j, _ in pivots})
-    units = [[int(c == f) for f in free] for c in range(m.cols)]
-    basis = _replay([(j, l, q) for l, j, q in reversed(cops)], units)
-    return IntMatrix.from_rows(basis, cols=len(free))
+    return IntMatrix.from_rows(_v_columns(cops, m.cols, free), cols=len(free))
 
 
 def image_lattice_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the lattice spanned by the columns of M, as columns."""
-    _, pivots, rops, _ = _eliminate(_sparse_rows(m), m.cols)
-    # U^-1 (p e_i) for the pivots (i, j, p): the inverse row operations, last first
-    scaled = [[p if r == i else 0 for i, _, p in pivots] for r in range(m.rows)]
-    basis = _replay([(k, i, -q) for k, i, q in reversed(rops)], scaled)
+    _, pivots, _, cops = _eliminate(_sparse_rows(m), m.cols)
+    # M V e_j for the pivots (i, j, p), which is U^-1 (p e_i) since U M V e_j = p e_i
+    basis = _times(m, _v_columns(cops, m.cols, [j for _, j, _ in pivots]), len(pivots))
     return IntMatrix.from_rows(basis, cols=len(pivots))
 
 
@@ -584,13 +619,30 @@ def _coprime_base(values) -> list[int]:
     return base
 
 
-def _listed(op: str, a: tuple[int, ...], b: tuple[int, ...], *repeats) -> list[int]:
-    """The torsion ``op`` lists before canonicalizing: the factors of each
-    (factors, n) of ``repeats`` n times, then gcd(x, y) over x in ``a`` and y
-    in ``b``; InvalidInput, before any is listed, past MAX_INVARIANT_FACTORS."""
-    if (count := len(a) * len(b) + sum(len(f) * n for f, n in repeats)) > MAX_INVARIANT_FACTORS:
-        raise InvalidInput(f"{op} lists {count} torsion factors, past {MAX_INVARIANT_FACTORS}")
-    return [*(d for f, n in repeats if f for d in f * n), *(gcd(x, y) for x in a for y in b)]
+# the factors each op lists once per free summand of the other group, besides
+# the gcds of the factor pairs: (A's, B's)
+_REPEATED = {"tensor": (1, 1), "tor": (0, 0), "hom": (0, 1), "ext": (1, 0)}
+
+
+def check_listed(what: str, ops, ra: int, ta: int, rb: int, tb: int) -> None:
+    """Raise InvalidInput, naming ``what``, if the ``ops`` of A and B list
+    more than MAX_INVARIANT_FACTORS torsion factors before they canonicalize,
+    A of rank ra with ta invariant factors and B of rank rb with tb.  Each op
+    lists ta * tb gcds and the factors ``_REPEATED`` names.  The count is
+    bilinear, so summed ranks and lengths count every pair of several groups."""
+    count = sum(ta * tb + _REPEATED[op][0] * ta * rb + _REPEATED[op][1] * tb * ra for op in ops)
+    if count > MAX_INVARIANT_FACTORS:
+        raise InvalidInput(f"{what} lists {count} torsion factors, past {MAX_INVARIANT_FACTORS}")
+
+
+def _listed(op: str, a: "FgAbGroup", b: "FgAbGroup") -> list[int]:
+    """The torsion ``op`` of A and B lists before canonicalizing, after
+    :func:`check_listed` passed its length: the repeated factors, then
+    gcd(x, y) over the factors x of A and y of B."""
+    x, y = a.invariant_factors, b.invariant_factors
+    check_listed(op, (op,), a.rank, len(x), b.rank, len(y))
+    rx, ry = _REPEATED[op]
+    return [*(y * a.rank if ry and y else ()), *(x * b.rank if rx and x else ()), *(gcd(u, v) for u in x for v in y)]
 
 
 class FgAbGroup(FrozenValue):
@@ -705,24 +757,19 @@ class FgAbGroup(FrozenValue):
         Bilinear over direct sums with Z (x) G = G and
         Z/a (x) Z/b = Z/gcd(a, b).
         """
-        a, b = self.invariant_factors, other.invariant_factors
-        tors = _listed("tensor", a, b, (b, self.rank), (a, other.rank))
-        return FgAbGroup._canonical(self.rank * other.rank, tors)
+        return FgAbGroup._canonical(self.rank * other.rank, _listed("tensor", self, other))
 
     def tor(self, other: "FgAbGroup") -> "FgAbGroup":
         """Tor_1(A, B): vanishes against free groups, Z/gcd on cyclic pairs."""
-        return FgAbGroup._canonical(0, _listed("tor", self.invariant_factors, other.invariant_factors))
+        return FgAbGroup._canonical(0, _listed("tor", self, other))
 
     def hom(self, other: "FgAbGroup") -> "FgAbGroup":
         """Hom(A, B): Hom(Z, G) = G, Hom(Z/a, Z) = 0, Hom(Z/a, Z/b) = Z/gcd."""
-        a, b = self.invariant_factors, other.invariant_factors
-        tors = _listed("hom", a, b, (b, self.rank))
-        return FgAbGroup._canonical(self.rank * other.rank, tors)
+        return FgAbGroup._canonical(self.rank * other.rank, _listed("hom", self, other))
 
     def ext(self, other: "FgAbGroup") -> "FgAbGroup":
         """Ext^1(A, B): Ext(Z, G) = 0, Ext(Z/a, Z) = Z/a, Ext(Z/a, Z/b) = Z/gcd."""
-        a, b = self.invariant_factors, other.invariant_factors
-        return FgAbGroup._canonical(0, _listed("ext", a, b, (a, other.rank)))
+        return FgAbGroup._canonical(0, _listed("ext", self, other))
 
     def is_isomorphic(self, other: "FgAbGroup") -> bool:
         """True exactly when canonical forms agree field by field."""

@@ -13,7 +13,7 @@ torsion is annihilated); field coefficients Z/p are the torsion groups
 
 from __future__ import annotations
 
-from .abgroup import FgAbGroup, FrozenValue, IntMatrix, as_int, is_prime, json_shape
+from .abgroup import FgAbGroup, FrozenValue, IntMatrix, as_int, check_listed, is_prime, json_shape
 
 
 class GradedCohomology(FrozenValue):
@@ -51,7 +51,9 @@ class GradedCohomology(FrozenValue):
         groups = tuple(map(FgAbGroup.from_json, json_shape(doc["groups"], list, "graded groups")))
         if as_int(doc["top_degree"]) != len(groups) - 1:
             raise ValueError("top_degree does not match the group list")
-        return cls(groups, doc.get("label", ""))
+        if type(label := doc.get("label", "")) is not str:
+            raise ValueError(f"a graded value's label must be a string, not {label!r}")
+        return cls(groups, label)
 
     def __str__(self) -> str:
         head = f"{self.label}: " if self.label else ""
@@ -116,7 +118,16 @@ def kunneth_product(x: GradedCohomology, y: GradedCohomology) -> GradedCohomolog
     convolution b^k = sum_(p+q=k) b^p b^q; the Euler characteristic is
     multiplicative even with torsion because the Tor terms cancel in the
     alternating sum.
+
+    Each pair (p, q) gives a tensor part in degree p + q and a Tor part in
+    degree p + q + 1, so the torsion all parts list, counted from the
+    factors' summed ranks and torsion lengths, bounds what any one degree
+    lists; past MAX_INVARIANT_FACTORS it raises InvalidInput before any
+    part is built.
     """
+    rx, ry = (sum(g.rank for g in h.groups) for h in (x, y))
+    tx, ty = (sum(len(g.invariant_factors) for g in h.groups) for h in (x, y))
+    check_listed("the Kunneth product", ("tensor", "tor"), rx, tx, ry, ty)
     top = x.top_degree + y.top_degree
     out: list[FgAbGroup] = []
     for k in range(top + 2):

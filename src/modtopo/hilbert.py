@@ -97,7 +97,7 @@ class CuspidalHilbertSpec(FrozenValue):
     def __post_init__(self):
         shared = type(self.cusp_dims) is int
         dims = {0: self.cusp_dims} if shared else dict(self.cusp_dims)
-        require_ints("cusp dimensions", *dims, *dims.values())
+        require_ints("cusp dimensions", *dims)  # FrozenValue checked the values
         if self.n < 1:
             raise ValueError("need at least one half-plane factor")
         if self.num_cusps < 1:

@@ -14,6 +14,10 @@ from itertools import combinations
 from modtopo.abgroup import (
     FgAbGroup,
     IntMatrix,
+    SnfResult,
+    _eliminate,
+    _replay,
+    _sparse_rows,
     homology_of_complex,
     integer_kernel_basis,
     lattice_quotient,
@@ -203,6 +207,44 @@ def reference_homology(boundaries):
         FgAbGroup.from_divisors(*(d for d in diags[m] if d > 1), *[0] * (dim - ranks[m] - ranks[m + 1]))
         for m, dim in enumerate(dims)
     ]
+
+
+def _eye(n: int) -> list[list[int]]:
+    return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
+def reference_smith_normal_form(m: IntMatrix) -> SnfResult:
+    """Smith normal form with all four transforms replayed from the
+    elimination's logs onto identities: left^T by the inverse row
+    operations, in order, rather than read off M V."""
+    diag, pivots, rops, cops = _eliminate(_sparse_rows(m), m.cols)
+    # rows of left_inv, left^T, right and right_inv^T
+    li = _replay(rops, _eye(m.rows))
+    lt = _replay([(i, k, -q) for k, i, q in rops], _eye(m.rows))
+    rr = _replay([(j, l, -q) for l, j, q in cops], _eye(m.cols))
+    rv = _replay(cops, _eye(m.cols))
+    for i, _, p in pivots:
+        if p < 0:
+            li[i] = [-a for a in li[i]]
+            lt[i] = [-a for a in lt[i]]
+    rperm = dict.fromkeys([*(i for i, _, _ in pivots), *range(m.rows)])
+    cperm = dict.fromkeys([*(j for _, j, _ in pivots), *range(m.cols)])
+    return SnfResult(
+        diagonal=diag,
+        left=IntMatrix.from_rows(list(zip(*(lt[i] for i in rperm))), cols=m.rows),
+        right=IntMatrix.from_rows([rr[j] for j in cperm], cols=m.cols),
+        left_inv=IntMatrix.from_rows([li[i] for i in rperm], cols=m.rows),
+        right_inv=IntMatrix.from_rows(list(zip(*(rv[j] for j in cperm))), cols=m.cols),
+    )
+
+
+def reference_image_lattice_basis(m: IntMatrix) -> IntMatrix:
+    """The image basis U^-1 (p e_i) over the pivots (i, j, p), by replaying
+    the inverse row operations, last first, rather than multiplying M V."""
+    _, pivots, rops, _ = _eliminate(_sparse_rows(m), m.cols)
+    scaled = [[p if r == i else 0 for i, _, p in pivots] for r in range(m.rows)]
+    basis = _replay([(k, i, -q) for k, i, q in reversed(rops)], scaled)
+    return IntMatrix.from_rows(basis, cols=len(pivots))
 
 
 @contextmanager

@@ -653,8 +653,15 @@ BILLION_TENSOR = '{"op":"tensor","a":{"rank":1000000000,"torsion":[2]},"b":{"ran
                 "y": {"top_degree": 0, "groups": [{"rank": 1, "torsion": [3]}]},
             },
         ),
+        (  # every part lists 10^6 + 2 factors, under the cap; the 882 parts together do not
+            ("kunneth",),
+            {
+                "x": {"top_degree": 20, "groups": [{"rank": 10**6, "torsion": [2]}] * 21},
+                "y": {"top_degree": 20, "groups": [{"rank": 1, "torsion": [3]}] * 21},
+            },
+        ),
     ],
-    ids=["group tensor", "group hom", "group ext", "kunneth"],
+    ids=["group tensor", "group hom", "group ext", "kunneth", "kunneth across degrees"],
 )
 def test_a_billion_rank_is_refused_before_its_torsion_is_listed(capsys, tmp_path, argv, doc):
     path = write_json(tmp_path, "in.json", doc)

@@ -7,6 +7,8 @@ probed on composites with a single nonzero entry and on composites whose
 terms cancel.  The lattice helpers, which replay the elimination's
 operation log onto just the vectors they read, are checked entry for
 entry against the same formulas evaluated on the full SNF transforms.
+``left`` and the image basis, read off M V, are checked against the
+transforms replayed from the log, and the log itself is pinned.
 Torsion canonicalization and the primality test get oracles of their own.
 """
 
@@ -14,14 +16,17 @@ import json
 import random
 import signal
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from modtopo.abgroup import (
     FgAbGroup,
     IntMatrix,
+    _eliminate,
+    _sparse_rows,
     determinant,
     homology_of_complex,
     image_lattice_basis,
@@ -36,7 +41,7 @@ from modtopo.cli import run
 from modtopo.errors import InvalidInput, NotAComplex, NotASublattice
 from modtopo.graded import GradedCohomology, kunneth_product, tensor_product_complex
 
-from helpers import gcd_of_k_minors
+from helpers import deadline, gcd_of_k_minors, reference_image_lattice_basis, reference_smith_normal_form
 
 
 def check_snf(m: IntMatrix, minors: bool = True):
@@ -115,6 +120,32 @@ def test_zero_rounded_quotient_leaves_no_stored_zero():
     assert s.diagonal == (1, 2, 4)
     assert matrix_rank(a) == 3
     assert homology_of_complex([a]) == [FgAbGroup(0, (2, 4)), FgAbGroup.trivial()]
+
+
+def pinned_matrices():
+    """40 seeded matrices: dense ones of sides 0-12, sparse unit-heavy ones
+    of sides 4-24, and every fourth a product through a smaller rank."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        sides, values = ((4, 24), [0] * 8 + [1, -1, 2, -3]) if seed % 2 else ((0, 12), range(-9, 10))
+        r, c = rng.randint(*sides), rng.randint(*sides)
+        k = rng.randint(0, min(r, c)) if seed % 4 == 3 else c
+        a = IntMatrix(r, k, tuple(rng.choice(values) for _ in range(r * k)))
+        yield seed, a @ IntMatrix(k, c, tuple(rng.choice(values) for _ in range(k * c))) if k < c else a
+
+
+PINNED_ELIMINATIONS = Path(__file__).with_name("eliminate_pinned.json")
+
+
+def test_the_pivot_choice_and_its_logs_are_pinned():
+    # the reference transforms replay the same logs, so only a pinned log
+    # sees a change to the pivot key or to the order of the operations
+    pinned = json.loads(PINNED_ELIMINATIONS.read_text(encoding="utf-8"))
+    assert len(pinned) == 40
+    for seed, a in pinned_matrices():
+        diag, pivots, rops, cops = _eliminate(_sparse_rows(a), a.cols)
+        got = [list(diag), *([list(t) for t in log] for log in (pivots, rops, cops))]
+        assert got == pinned[str(seed)], seed
 
 
 # -- homology of scrambled tensor-product complexes ------------------------
@@ -343,6 +374,44 @@ def test_replayed_lattice_helpers_on_negative_pivots():
             assert solve_integer(a, b) == solve_from_snf(a, b)
         for sub in (a, IntMatrix(a.rows, 1, (1,) + (0,) * (a.rows - 1))):
             assert outcome(lattice_quotient, a, sub) == outcome(quotient_from_snf, a, sub)
+
+
+@st.composite
+def snf_cases(draw):
+    """Sides 0-10: dense, sparse, zero or all-negative entries (negative
+    pivots), and half of them through a smaller rank."""
+    negative = st.integers(-9, -1)
+    values = draw(st.sampled_from([SPARSE_UNITS, st.integers(-9, 9), st.integers(-300, 300), st.just(0), negative]))
+    r, c = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(r, c)))
+        return draw(sized(values, r, k)) @ draw(sized(values, k, c))
+    return draw(sized(values, r, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(snf_cases())
+@example(IntMatrix.from_rows([[-3, -5], [-7, -11]]))
+@example(IntMatrix.from_rows([[-6, 4, -10], [4, -6, 8]]))
+@example(IntMatrix.zeros(3, 0))
+def test_left_and_the_image_read_off_m_v_equal_the_replayed_ones(m):
+    assert smith_normal_form(m) == reference_smith_normal_form(m)
+    assert image_lattice_basis(m) == reference_image_lattice_basis(m)
+
+
+@pytest.mark.parametrize("kind", ["path boundary", "diagonal"])
+def test_reading_off_m_v_costs_the_nonzeros_of_a_sparse_matrix(kind):
+    # a dense M V product would take 600 * 600 * 601 multiplications here,
+    # many seconds; summed over the nonzeros of M and of V it takes 600 or so
+    n = 600
+    if kind == "path boundary":
+        m = IntMatrix(n + 1, n, tuple(int(i == j + 1) - int(i == j) for i in range(n + 1) for j in range(n)))
+    else:
+        m = IntMatrix(n, n, tuple((i % 7 + 1) * (i == j) for i in range(n) for j in range(n)))
+    with deadline(5, f"the Smith form and image basis of an {m.rows} x {m.cols} {kind}"):
+        snf, image = smith_normal_form(m), image_lattice_basis(m)
+    assert snf == reference_smith_normal_form(m)
+    assert image == reference_image_lattice_basis(m)
 
 
 # -- torsion canonicalization ------------------------------------------------

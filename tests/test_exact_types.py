@@ -190,23 +190,30 @@ def value_classes():
     return found
 
 
+def int_dict(kind):
+    return kind.startswith("dict[") and kind.endswith(", int]")
+
+
 def inexact_values(cls):
-    """(field index, field, wrong value) for each field annotated int, a value
-    class, a union of one with None or a class its module names, or a tuple
-    of one of those: a float and a bool where an int belongs, a plain int
-    where only a value class does."""
+    """(field index, field, wrong value) for each field annotated int, bool,
+    str, dict[K, int], a value class, a union of one with None or a class its
+    module names, or a tuple of one of those: a float and a bool where an int
+    belongs, a plain int where only a bool, a str, a dict or a value class
+    does, and a dict holding a float or a bool where a dict[K, int] does."""
     scope = vars(sys.modules[cls.__module__])
     for i, (name, note) in enumerate(cls.__annotations__.items()):
         many = note.startswith("tuple[") and note.endswith(", ...]")
         kinds = (note[6:-6] if many else note).split(" | ")
-        if not all(k in ("int", "None") or isinstance(scope.get(k), type) for k in kinds):
+        if not all(k in ("int", "bool", "str", "None") or int_dict(k) or isinstance(scope.get(k), type) for k in kinds):
             continue
         if "int" in kinds:
             wrong = [1.0, True]
-        elif any(issubclass(scope.get(k, type(None)), FrozenValue) for k in kinds):
+        elif any(k in ("bool", "str") or int_dict(k) or issubclass(scope.get(k, type(None)), FrozenValue) for k in kinds):
             wrong = [1]
         else:
             continue
+        if any(map(int_dict, kinds)):
+            wrong += [{0: 1.0}, {0: True}]
         for value in wrong:
             yield i, name, (value,) if many else value
 
@@ -218,7 +225,9 @@ def test_the_walk_reaches_every_value_type():
     assert set(VALUE_CLASSES) == set(sample_args()) | {"SweepReport"}
     checked = {(name, field) for name, cls in VALUE_CLASSES.items() for _, field, _ in inexact_values(cls)}
     assert {("SweepReport", "cases"), ("KPair", "k0"), ("RationalClass", "coords")} <= checked
-    assert len(checked) >= 37
+    assert {("SweepReport", "name"), ("MmsVerdict", "unstable"), ("HodgeSlice", "entries")} <= checked
+    assert {("AxiomReport", "checked"), ("CuspidalHilbertSpec", "cusp_dims"), ("HodgeSlice", "flags")} <= checked
+    assert len(checked) >= 55
 
 
 @pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
@@ -250,6 +259,26 @@ def test_the_public_types_that_took_floats_refuse_them():
     ):
         with pytest.raises(TypeError):
             build()
+
+
+def test_dict_values_and_str_and_bool_fields_are_checked():
+    from modtopo.anomaly import HilbertAnomalyReport, MmsVerdict
+    from modtopo.graded import CoefficientSpec, GradedCohomology
+    from modtopo.hilbert import HodgeSlice
+
+    with pytest.raises(TypeError, match=r"^HodgeSlice\.entries takes dict\[tuple\[int, int, str\], int\], not a float value$"):
+        HodgeSlice(1, {(0, 0, "u"): 0.5})
+    with pytest.raises(TypeError, match=r"^HilbertAnomalyReport\.cusp_h3_dims takes .*, not a float value$"):
+        HilbertAnomalyReport(1, {(1, 2): 0.5}, "x")
+    with pytest.raises(TypeError, match=r"^MmsVerdict\.unstable takes bool, not int$"):
+        MmsVerdict(1)
+    with pytest.raises(TypeError, match=r"^CoefficientSpec\.kind takes str, not int$"):
+        CoefficientSpec(3)
+    assert HilbertAnomalyReport(1, {(1, 2): 3}, "x").cusp_h3_dims == {(1, 2): 3}
+    assert HilbertAnomalyReport(1, None, "x").cusp_h3_dims is None
+    # a JSON label that is not a string is a usage error, not a TypeError
+    with pytest.raises(ValueError, match="label must be a string"):
+        GradedCohomology.from_json({"top_degree": 0, "groups": [{"rank": 1}], "label": 5})
 
 
 def test_tuple_fields_are_made_tuples_and_checked_before_post_init():

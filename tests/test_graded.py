@@ -16,8 +16,11 @@ from modtopo.graded import (
     kunneth_product,
     tensor_product_complex,
 )
+from modtopo.errors import InvalidInput
 
 from helpers import (
+    allocation_cap,
+    deadline,
     mod_p_rank,
     random_alternating_complex,
     random_composable_complex,
@@ -183,6 +186,19 @@ def test_homology_free_mod_three():
         FgAbGroup.cyclic(3),
         T,
     ]
+
+
+def test_kunneth_product_refuses_a_torsion_list_past_the_cap_across_parts_and_degrees():
+    # each tensor part lists 10^6 + 2 factors and each Tor part one, all under
+    # the cap; the 441 tensor and 441 Tor parts over 42 degrees list 441,001,323
+    x = GradedCohomology((FgAbGroup(10**6, (2,)),) * 21)
+    y = GradedCohomology((FgAbGroup(1, (3,)),) * 21)
+    with deadline(1, "the Kunneth parts were built"), allocation_cap(2**20, "a refused Kunneth product"):
+        with pytest.raises(InvalidInput, match=f"^the Kunneth product lists 441001323 torsion factors, past {2**20}$"):
+            kunneth_product(x, y)
+    # a product whose parts list no more than the cap together is built
+    small = GradedCohomology((FgAbGroup(1, (2,)),) * 21)
+    assert kunneth_product(small, y).group_at(40) == FgAbGroup(1, (6,))
 
 
 def test_coefficient_spec_validation():
