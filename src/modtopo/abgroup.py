@@ -28,7 +28,7 @@ from collections import Counter
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress
 from math import gcd
-from operator import attrgetter, floordiv, mul
+from operator import attrgetter, floordiv
 
 from .errors import DimensionMismatch, InvalidInput, NotAComplex, NotASublattice
 
@@ -232,14 +232,13 @@ class IntMatrix(FrozenValue):
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = [other.column(j) for j in range(other.cols)]
-        out = [sum(map(mul, self.row(i), cj)) for i in range(self.rows) for cj in cols]
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        out = _times(self, map(other.row, range(other.rows)), other.cols)
+        return IntMatrix(self.rows, other.cols, tuple(chain.from_iterable(out)))
 
     def apply(self, vec: list[int] | tuple[int, ...]) -> list[int]:
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} != cols {self.cols}")
-        return [sum(map(mul, self.row(i), vec)) for i in range(self.rows)]
+        return [v for v, in _times(self, zip(vec), 1)]
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -306,10 +305,10 @@ class SnfResult(FrozenValue):
     factors (each dividing the next) followed by zeros.  ``left`` and
     ``right`` are unimodular; ``left_inv`` and ``right_inv`` are their exact
     inverses (so left_inv @ M @ right_inv is the diagonal matrix).
-    ``left_inv``, ``right`` and ``right_inv`` are replayed from the
-    elimination's operation log onto identities.  ``left`` is read off
-    M V: its pivot columns are M V e_j / |p|, and only its other columns
-    are replayed.  The lattice helpers build none of the four.
+    ``left_inv`` and ``right`` are replayed from the elimination's
+    operation log onto identities; ``right_inv`` is V, pivot columns first.
+    ``left`` is read off M V: its pivot columns are M V e_j / |p|, and only
+    its other columns are replayed.  The lattice helpers build none of the four.
     """
 
     diagonal: tuple[int, ...]
@@ -363,16 +362,17 @@ def _replay(ops, rows: list[list[int]]) -> list[list[int]]:
     return rows
 
 
-def _v_columns(cops, ncols: int, picked: list[int]) -> list[list[int]]:
-    """The columns V e_c for c in ``picked`` as rows of coordinates, V the
-    product of the column operations of ``cops``: replayed last first."""
-    return _replay([(j, l, q) for l, j, q in reversed(cops)], _units(ncols, picked))
+def _v_times(cops, rows: list[list[int]]) -> list[list[int]]:
+    """Rows of V X, from the rows of X (consumed), V the product of the
+    column operations of ``cops``: replayed last first."""
+    return _replay([(j, l, q) for l, j, q in reversed(cops)], rows)
 
 
 def _times(m: IntMatrix, w, width: int) -> list[list[int]]:
     """Rows of M W, from the rows of W, of which the first ``width`` entries
-    are read.  Each nonzero entry of W meets only the nonzero entries of one
-    column of M, so only a dense M and W cost rows * cols * width products."""
+    are read; ``@`` and ``apply`` multiply here too.  A nonzero entry of W
+    meets only the nonzero entries of one column of M, so only a dense M
+    and W cost rows * cols * width products."""
     out = [[0] * width for _ in range(m.rows)]
     for col, wc in zip(map(m.column, range(m.cols)), w):
         nonzero = [(out[i], col[i]) for i in compress(range(m.rows), col)]
@@ -430,12 +430,14 @@ def _eliminate(rows: list[dict[int, int]], ncols: int):
         n = len(rows[i]) - 1
         return min((v if v > 0 else -v, n * (len(cols[j]) - 1), j) for j, v in rows[i].items())
 
-    # keys of rows untouched by a step may be stale; the chosen row is re-keyed.
-    # The heap holds (keys[i], i) for each keyed row, and outdated entries.
+    # keys hold every nonzero row, in row order, and an emptied row is never
+    # refilled; keys of rows untouched by a step may be stale, and the chosen
+    # row is re-keyed.  The heap holds (keys[i], i) for each keyed row, and outdated entries.
     keys = {i: best_in(i) for i in range(nrows) if rows[i]}
     heap = [(key, i) for i, key in keys.items()]
     heapify(heap)
     pivots = []
+    shown = 1  # divides every remaining entry, and operations keep it so
     while keys:
         key, i = heap[0]
         if keys.get(i) != key:
@@ -472,10 +474,11 @@ def _eliminate(rows: list[dict[int, int]], ncols: int):
                 else:
                     del row[l]
                     cols[l].discard(i)
-            if stray is None and p not in (1, -1):
+            if stray is None and p not in (shown, -shown):
                 # p must divide every remaining entry, or the chain breaks
-                stray = next((k for k, r in enumerate(rows) if any(v % p for v in r.values())), None)
+                stray = next((k for k in keys if any(v % p for v in rows[k].values())), None)
                 if stray is None:
+                    shown = abs(p)
                     break
                 row_sub(i, stray, -1)
                 continue
@@ -511,16 +514,15 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             f"the transforms of a {m.rows} x {m.cols} matrix exceed {MAX_TRANSFORM_ENTRIES} entries"
         )
     diag, pivots, rops, cops = _eliminate(_sparse_rows(m), m.cols)
-    # rows of left_inv, right and right_inv^T
+    # rows of left_inv and right
     li = _replay(rops, _units(m.rows, range(m.rows)))
     rr = _replay([(j, l, -q) for l, j, q in cops], _units(m.cols, range(m.cols)))
-    rv = _replay(cops, _units(m.cols, range(m.cols)))
     for i, _, p in pivots:
         if p < 0:
             li[i] = [-a for a in li[i]]
     rperm = list(dict.fromkeys([*(i for i, _, _ in pivots), *range(m.rows)]))
     cperm = list(dict.fromkeys([*(j for _, j, _ in pivots), *range(m.cols)]))
-    ri = list(zip(*(rv[j] for j in cperm)))  # rows of right_inv, which starts with V e_j over the pivots
+    ri = _v_times(cops, _units(m.cols, cperm))  # rows of right_inv, which starts with V e_j over the pivots
     # left is U^-1 with column i negated where row i of left_inv is: it starts
     # with M V e_j / |p| over the pivots (i, j, p), since U M V e_j = p e_i,
     # then U^-1 e_f for the other rows f, the inverse row operations last first
@@ -544,14 +546,14 @@ def integer_kernel_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the integer solution lattice of M x = 0, as columns."""
     _, pivots, _, cops = _eliminate(_sparse_rows(m), m.cols)
     free = sorted({*range(m.cols)} - {j for _, j, _ in pivots})
-    return IntMatrix.from_rows(_v_columns(cops, m.cols, free), cols=len(free))
+    return IntMatrix.from_rows(_v_times(cops, _units(m.cols, free)), cols=len(free))
 
 
 def image_lattice_basis(m: IntMatrix) -> IntMatrix:
     """Basis of the lattice spanned by the columns of M, as columns."""
     _, pivots, _, cops = _eliminate(_sparse_rows(m), m.cols)
     # M V e_j for the pivots (i, j, p), which is U^-1 (p e_i) since U M V e_j = p e_i
-    basis = _times(m, _v_columns(cops, m.cols, [j for _, j, _ in pivots]), len(pivots))
+    basis = _times(m, _v_times(cops, _units(m.cols, [j for _, j, _ in pivots])), len(pivots))
     return IntMatrix.from_rows(basis, cols=len(pivots))
 
 
@@ -567,7 +569,7 @@ def solve_integer(m: IntMatrix, b: list[int] | tuple[int, ...]) -> list[int] | N
         z[j][0], y[i] = divmod(y[i], p)
     if any(y):  # a remainder, or U b off the pivot rows
         return None
-    return [v for v, in _replay([(j, l, q) for l, j, q in reversed(cops)], z)]
+    return [v for v, in _v_times(cops, z)]
 
 
 def lattice_quotient(span_gens: IntMatrix, sub_gens: IntMatrix) -> "FgAbGroup":
@@ -580,11 +582,6 @@ def lattice_quotient(span_gens: IntMatrix, sub_gens: IntMatrix) -> "FgAbGroup":
     if span_gens.rows != sub_gens.rows:
         raise DimensionMismatch("lattice generators live in different ambient ranks")
     _, pivots, rops, _ = _eliminate(_sparse_rows(span_gens), span_gens.cols)
-    r = len(pivots)
-    if r == 0:
-        if not sub_gens.is_zero():
-            raise NotASublattice("sub-lattice generators outside the zero lattice")
-        return FgAbGroup.trivial()
     # L has the basis U^-1 (p * e_i) over the pivots (i, j, p), so b lies in
     # L exactly when U b vanishes off the pivot rows and p | (U b)_i
     y = _replay(rops, [list(sub_gens.row(k)) for k in range(sub_gens.rows)])
@@ -594,7 +591,7 @@ def lattice_quotient(span_gens: IntMatrix, sub_gens: IntMatrix) -> "FgAbGroup":
         y[i] = [v % p for v in y[i]]
     if any(map(any, y)):
         raise NotASublattice("generator not contained in the ambient lattice")
-    return _cokernel(r, _eliminate(rows, sub_gens.cols)[0])
+    return _cokernel(len(pivots), _eliminate(rows, sub_gens.cols)[0])
 
 
 # ---------------------------------------------------------------------------

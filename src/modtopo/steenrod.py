@@ -164,6 +164,8 @@ class ModPRingPresentation:
         poly: Poly = {}
         for coeff, powers in raw:
             require_ints("coefficients and exponents", coeff, *powers.values())
+            if any(e < 0 for e in powers.values()):
+                raise ValueError(f"the monomial {powers} has a negative exponent")
             exps = [0] * len(self.names)
             for name, e in powers.items():
                 exps[self._index[name]] += e
@@ -624,6 +626,8 @@ class RingElement:
 def _apply(pres: ModPRingPresentation, k: int | None, poly: Poly) -> Poly:
     """The operation of index k, or the Bockstein for k = None, on a
     polynomial, which must be homogeneous and within MAX_EVALUATION_DEPTH."""
+    if k is not None and k < 0:
+        raise ValueError("operation index must be nonnegative")
     if len({pres.mono_degree(m) for m in poly}) > 1:
         raise Inhomogeneous(f"{pres.poly_str(poly)} is not homogeneous")
     for m in poly:
@@ -636,24 +640,18 @@ def _apply(pres: ModPRingPresentation, k: int | None, poly: Poly) -> Poly:
     return pres._linear(poly, lambda m: pres.op_mono(k, m))
 
 
-def _power_op(k: int, x: RingElement) -> RingElement:
-    if k < 0:
-        raise ValueError("operation index must be nonnegative")
-    return RingElement(x.pres, _apply(x.pres, k, x.poly))
-
-
 def sq(k: int, x: RingElement) -> RingElement:
     """Steenrod square Sq^k, raising the degree by k (p = 2 only)."""
     if x.pres.p != 2:
         raise NotModTwo("Sq acts on mod-2 presentations only")
-    return _power_op(k, x)
+    return RingElement(x.pres, _apply(x.pres, k, x.poly))
 
 
 def st(k: int, x: RingElement) -> RingElement:
     """Steenrod power St^k, raising the degree by 2k(p-1) (odd p only)."""
     if x.pres.p == 2:
         raise NotOddPrime("St acts on odd-prime presentations only")
-    return _power_op(k, x)
+    return RingElement(x.pres, _apply(x.pres, k, x.poly))
 
 
 def bockstein(x: RingElement) -> RingElement:

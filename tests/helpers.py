@@ -176,6 +176,16 @@ def random_composable_complex(rng, degrees=3, max_cells=5, lo=-3, hi=3):
     return boundaries
 
 
+def reference_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """A B by the plain triple loop over every index, zeros included."""
+    out = [[0] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] += a.at(i, k) * b.at(k, j)
+    return IntMatrix.from_rows(out, cols=b.cols)
+
+
 def reference_homology(boundaries):
     """Homology by the two-pass route: every d o d product is checked first,
     each row accumulated over the nonzeros, and then

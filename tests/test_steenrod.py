@@ -48,6 +48,21 @@ def test_generator_degrees_positive():
         ModPRingPresentation(2, [("x", 0)])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ModPRingPresentation(2, [("x", 1)], [[(1, {"x": -2})]]),
+        lambda: ModPRingPresentation(2, [("x", 1)], operations={("Sq", 1, "x"): [(1, {"x": -1})]}),
+        lambda: ModPRingPresentation(2, [("x", 1)]).element([(1, {"x": -1})]),
+    ],
+    ids=["relation", "table value", "element"],
+)
+def test_negative_exponents_are_refused(build):
+    # x^-2 = 0 would make every monomial, x included, reduce to 0
+    with pytest.raises(ValueError, match=r"the monomial \{'x': -[12]\} has a negative exponent"):
+        build()
+
+
 def test_wrong_kind_entries_rejected():
     with pytest.raises(NotOddPrime):
         ModPRingPresentation(2, [("x", 2)], operations={("St", 1, "x"): 0})
