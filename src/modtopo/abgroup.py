@@ -63,13 +63,15 @@ def is_prime(n: int) -> bool:
 
 def as_int(v) -> int:
     """An int read from JSON, which carries numbers beyond 2**53 as decimal
-    strings; ValueError on anything else."""
+    strings, spelled as ``json_int`` writes them; ValueError on anything else."""
     if isinstance(v, bool):
         raise ValueError("booleans are not integers")
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        return int(v, 10)
+        if v != str(n := int(v, 10)):
+            raise ValueError(f"{v!r} is not the canonical decimal of {n}")
+        return n
     raise ValueError(f"expected integer, got {v!r}")
 
 

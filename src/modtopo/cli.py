@@ -123,15 +123,19 @@ def _cmd_kunneth(args) -> dict:
 def _hilbert_spec(args):
     from .hilbert import CompactHilbertSpec, CuspidalHilbertSpec, cusp_dims_from_json
 
-    if args.compact:
-        return CompactHilbertSpec(args.n, args.dim_weight2)
+    if args.compact:  # a flag the chosen quotient does not read is refused
+        if (args.h, args.cusp_dims, args.uniform_cusp_dim) != (None, None, None):
+            raise _Usage("--compact takes no --h, --cusp-dims or --uniform-cusp-dim")
+        return CompactHilbertSpec(args.n, args.dim_weight2 or 0)
     if args.h is None:
         raise _Usage("congruence quotients need --h (cusp count)")
-    if args.cusp_dims:
+    if args.dim_weight2 is not None or None not in (args.cusp_dims, args.uniform_cusp_dim):
+        raise _Usage("--h takes no --dim-weight2, nor both --cusp-dims and --uniform-cusp-dim")
+    if args.cusp_dims is not None:
         with open(args.cusp_dims, "r", encoding="utf-8") as fh:
             table = cusp_dims_from_json(_parse(fh.read()))
         return CuspidalHilbertSpec(args.n, args.h, table)
-    return CuspidalHilbertSpec.uniform(args.n, args.h, args.uniform_cusp_dim)
+    return CuspidalHilbertSpec.uniform(args.n, args.h, args.uniform_cusp_dim or 0)
 
 
 def _cmd_hilbert(args):
@@ -271,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="Hilbert modular variety tables")
     p.add_argument("--n", type=_nonneg, required=True, help="half-plane factors")
     p.add_argument("--compact", action="store_true", help="co-compact quotient")
-    p.add_argument("--dim-weight2", type=_nonneg, default=0, dest="dim_weight2")
+    p.add_argument("--dim-weight2", type=_nonneg, default=None, dest="dim_weight2")
     p.add_argument("--h", type=_nonneg, default=None, help="cusp count")
     p.add_argument("--cusp-dims", metavar="FILE", dest="cusp_dims")
-    p.add_argument("--uniform-cusp-dim", type=_nonneg, default=0)
+    p.add_argument("--uniform-cusp-dim", type=_nonneg, default=None)
     p.add_argument("--betti", action="store_true")
     p.add_argument("--hodge", action="store_true")
     p.set_defaults(handler=_cmd_hilbert)

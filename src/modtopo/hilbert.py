@@ -143,10 +143,7 @@ HilbertSpec = CompactHilbertSpec | CuspidalHilbertSpec
 
 def cusp_dims_from_json(doc: dict) -> dict[int, int]:
     """A {bitmask-string: dimension} object, keyed by canonical decimals."""
-    dims = {int(k): as_int(v) for k, v in json_shape(doc, dict, "cusp dimensions").items()}
-    if list(map(str, dims)) != list(doc):
-        raise ValueError("cusp bitmasks must be canonical decimals, each given once")
-    return dims
+    return {as_int(k): as_int(v) for k, v in json_shape(doc, dict, "cusp dimensions").items()}
 
 
 def spec_from_json(doc: dict) -> HilbertSpec:
@@ -167,13 +164,8 @@ def _check_degree(spec: HilbertSpec, m: int) -> None:
 
 def compact_betti(spec: CompactHilbertSpec, m: int) -> int:
     _check_degree(spec, m)
-    n = spec.n
-    if m == n:
-        u = _binom(n, n // 2) if n % 2 == 0 else 0
-        return 2**n * spec.dim_weight2 + u
-    if m % 2 == 0:
-        return _binom(n, m // 2)
-    return 0
+    univ = _binom(spec.n, m // 2) if m % 2 == 0 else 0
+    return univ + (2**spec.n * spec.dim_weight2 if m == spec.n else 0)
 
 
 def compact_implied_volume(spec: CompactHilbertSpec) -> Fraction:
@@ -196,17 +188,6 @@ class CuspidalBetti(FrozenValue):
     cusp: int
     total: int
     boundary_overridden: bool = False
-
-    def to_json(self) -> dict:
-        doc = {
-            "univ": self.univ,
-            "eis": self.eis,
-            "cusp": self.cusp,
-            "total": self.total,
-        }
-        if self.boundary_overridden:
-            doc["boundary_overridden"] = True
-        return doc
 
 
 def _eis_betti(n: int, h: int, m: int) -> int:
@@ -310,9 +291,6 @@ class FiltrationDims(FrozenValue):
 
     univ_dim: int
     cusp_dim: int
-
-    def to_json(self) -> dict:
-        return {"univ": self.univ_dim, "cusp": self.cusp_dim}
 
 
 def hodge_filtration_dims(spec: HilbertSpec, m: int, p: int) -> FiltrationDims:

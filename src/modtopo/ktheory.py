@@ -54,18 +54,12 @@ class CircleBundleSpec(FrozenValue):
         if self.twist < 0:
             raise ValueError("twist level must be nonnegative")
 
-    def to_json(self) -> dict:
-        return {"genus": self.genus, "chern": self.chern, "twist": self.twist}
-
 
 class KPair(FrozenValue):
     """Even/odd K-groups in canonical form."""
 
     k0: FgAbGroup
     k1: FgAbGroup
-
-    def is_isomorphic(self, other: "KPair") -> bool:
-        return self == other
 
     def to_json(self) -> dict:
         return {"K0": self.k0.to_json(), "K1": self.k1.to_json()}

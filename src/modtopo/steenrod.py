@@ -533,7 +533,7 @@ def parse_op_label(label) -> tuple[str, int]:
     if label == "beta":
         return ("beta", 1)
     if isinstance(label, str) and label[:2].lower() in ("sq", "st"):
-        return (label[:2].lower(), int(label[2:]))
+        return (label[:2].lower(), as_int(label[2:]))
     raise ValueError(f"unknown operation label {label!r}")
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from math import gcd
 
 import pytest
@@ -9,12 +10,14 @@ from modtopo.abgroup import (
     MAX_INVARIANT_FACTORS,
     FgAbGroup,
     IntMatrix,
+    as_int,
     cohomology_of_cochain_complex,
     determinant,
     dual_complex,
     homology_of_complex,
     image_lattice_basis,
     integer_kernel_basis,
+    json_int,
     lattice_quotient,
     matrix_rank,
     smith_normal_form,
@@ -434,3 +437,27 @@ def test_free_groups_of_any_rank_list_no_torsion():
     assert FgAbGroup.trivial().repeated_sum(2**200).is_trivial
     with pytest.raises(InvalidInput):  # 2**63 copies of Z/2 are past the cap
         FgAbGroup.cyclic(2).tensor(huge)
+
+
+# -- integer strings, determinants and printing --------------------------------
+
+
+@pytest.mark.parametrize("text", ["+5", " 4 ", "1_0", "007", "-0", "12\n", "\u0663"])
+def test_as_int_reads_a_string_only_in_the_spelling_json_int_writes(text):
+    with pytest.raises(ValueError, match=re.escape(f"{text!r} is not the canonical decimal of {int(text)}")):
+        as_int(text)
+
+
+@pytest.mark.parametrize("v", [0, -1, 7, 2**53, 2**53 + 1, -(2**80)])
+def test_as_int_reads_back_what_json_int_writes(v):
+    assert as_int(json_int(v)) == as_int(str(v)) == v
+
+
+@pytest.mark.parametrize("rows", [[[0, 1], [0, 2]], [[1, 2, 3], [2, 4, 6], [0, 0, 5]], [[0, 0], [0, 0]]])
+def test_determinant_is_zero_when_a_pivot_column_has_no_nonzero(rows):
+    assert determinant(IntMatrix.from_rows(rows)) == cofactor_det(rows) == 0
+
+
+def test_an_empty_matrix_prints_its_shape():
+    assert str(IntMatrix(0, 3, ())) == "<0x3 empty>"
+    assert str(IntMatrix(2, 0, ())) == "<2x0 empty>"

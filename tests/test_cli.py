@@ -686,3 +686,69 @@ def test_a_billion_rank_tensor_is_refused_as_a_process():
     )
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == "error[INVALID_INPUT]: tensor lists 2000000001 torsion factors, past 1048576\n"
+
+
+# -- one spelling for integer strings, and no ignored hilbert flags -----------------
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (("group",), {"op": "tensor", "a": {"rank": "1_0", "torsion": [" 4 "]}, "b": {"rank": "\u0663"}}),
+        (("group",), {"op": "direct_sum", "a": {"rank": "+5"}, "b": {"rank": 1, "torsion": ["007"]}}),
+        (("group",), {"op": "smith", "matrix": {"rows": "-0", "cols": 0, "entries": []}}),
+        (
+            ("steenrod",),
+            {
+                "presentation": {"p": 2, "generators": [{"name": "x", "degree": 1}]},
+                "evaluate": {"op": "Sq02", "element": [{"coeff": 1, "monomial": {"x": 1}}]},
+            },
+        ),
+        (
+            ("steenrod",),
+            {
+                "presentation": {"p": 2, "generators": [{"name": "x", "degree": 1}]},
+                "evaluate": {"op": "Sq1_0", "element": [{"coeff": 1, "monomial": {"x": 1}}]},
+            },
+        ),
+    ],
+)
+def test_an_integer_string_in_another_spelling_is_a_usage_error(capsys, tmp_path, argv, doc):
+    code, out, err = invoke(capsys, *argv, "--json", write_json(tmp_path, "in.json", doc))
+    assert (code, out) == (2, "")
+    assert "is not the canonical decimal of" in err and "Traceback" not in err
+
+
+def test_canonical_integer_strings_are_read(capsys, tmp_path):
+    doc = {"op": "tensor", "a": {"rank": "10", "torsion": ["4"]}, "b": {"rank": "3"}}
+    assert invoke_json(capsys, "group", "--json", write_json(tmp_path, "in.json", doc)) == {
+        "result": {"rank": 30, "torsion": [4, 4, 4]}
+    }
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--n", "2", "--compact", "--h", "3", "--uniform-cusp-dim", "4", "--betti"),
+        ("--n", "2", "--compact", "--h", "3"),
+        ("--n", "2", "--compact", "--uniform-cusp-dim", "0"),
+        ("--n", "1", "--compact", "--cusp-dims", "CUSPS"),
+        ("--n", "2", "--h", "1", "--dim-weight2", "5"),
+        ("--n", "1", "--h", "1", "--cusp-dims", "CUSPS", "--uniform-cusp-dim", "4"),
+    ],
+)
+def test_a_hilbert_flag_the_quotient_does_not_read_is_a_usage_error(capsys, tmp_path, flags):
+    cusps = write_json(tmp_path, "cusps.json", {"0": 1, "1": 2})
+    code, out, err = invoke(capsys, "hilbert", *(cusps if f == "CUSPS" else f for f in flags))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --") and "Traceback" not in err
+
+
+def test_hilbert_flags_the_quotient_reads_still_work(capsys, tmp_path):
+    assert invoke_json(capsys, "hilbert", "--n", "2", "--compact", "--betti") == [1, 0, 2, 0, 1]
+    assert invoke_json(capsys, "hilbert", "--n", "2", "--h", "1", "--betti") == [0, 0, 3, 0, 0]
+    cusps = write_json(tmp_path, "cusps.json", {"0": 1, "1": 2})
+    assert invoke_json(capsys, "hilbert", "--n", "1", "--h", "2", "--cusp-dims", cusps, "--betti") == [0, 4, 0]
+    code, out, err = invoke(capsys, "hilbert", "--n", "2", "--dim-weight2", "5")
+    assert (code, out) == (2, "")
+    assert "congruence quotients need --h" in err

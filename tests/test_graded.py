@@ -292,3 +292,23 @@ def test_kunneth_product_does_not_depend_on_factor_order(x, y):
 def test_tensor_product_complex_homology_does_not_depend_on_factor_order(bx, by):
     xy = homology_of_complex(tensor_product_complex(bx, by))
     assert xy == homology_of_complex(tensor_product_complex(by, bx))
+
+
+# -- input checks and printing ---------------------------------------------------
+
+
+def test_graded_inputs_refuse_an_empty_or_unknown_value():
+    with pytest.raises(ValueError, match="a graded value needs at least degree 0"):
+        GradedCohomology(())
+    with pytest.raises(ValueError, match="unknown coefficient kind 'reals'"):
+        CoefficientSpec("reals")
+    with pytest.raises(ValueError, match="both complexes need at least one boundary matrix"):
+        tensor_product_complex([], [IntMatrix.zeros(1, 1)])
+    with pytest.raises(ValueError, match="both complexes need at least one boundary matrix"):
+        tensor_product_complex([IntMatrix.zeros(1, 1)], [])
+
+
+def test_graded_cohomology_prints_each_degree():
+    x = GradedCohomology((Z, FgAbGroup(1, (2, 4)), T, FgAbGroup.free(3)), "X")
+    assert str(x) == "X: H^0 = Z, H^1 = Z + Z/2 + Z/4, H^2 = 0, H^3 = Z^3"
+    assert str(GradedCohomology((T,))) == "H^0 = 0"

@@ -355,3 +355,34 @@ def test_a_constant_table_reads_as_the_shared_dimension(n, h, d):
 def test_a_cusp_bitmask_is_read_only_in_its_canonical_spelling(key):
     with pytest.raises(ValueError, match="canonical"):
         cusp_dims_from_json({"0": 1, key: 2})
+
+
+def test_compact_betti_is_the_universal_term_plus_the_form_mass_in_middle_degree():
+    for n in range(1, 9):
+        for d in (0, 1, 5):
+            spec = CompactHilbertSpec(n, d)
+            for m in range(2 * n + 1):
+                # the module docstring's three cases, written out
+                if m == n:
+                    want = 2**n * d + (comb(n, n // 2) if n % 2 == 0 else 0)
+                else:
+                    want = comb(n, m // 2) if m % 2 == 0 else 0
+                assert compact_betti(spec, m) == want
+                univ = cuspidal_betti(CuspidalHilbertSpec(n, 1, 0), m).univ
+                assert want == univ + (2**n * d if m == n else 0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CompactHilbertSpec(0), "need at least one half-plane factor"),
+        (lambda: CompactHilbertSpec(2, -1), "form space dimension must be nonnegative"),
+        (lambda: CuspidalHilbertSpec(0, 1, 1), "need at least one half-plane factor"),
+        (lambda: CuspidalHilbertSpec(2, 0, 1), "a congruence quotient has at least one cusp"),
+        (lambda: CuspidalHilbertSpec(2, 1, -1), "cusp form dimensions must be nonnegative"),
+        (lambda: CuspidalHilbertSpec(1, 1, {0: 1, 1: -1}), "cusp form dimensions must be nonnegative"),
+    ],
+)
+def test_a_spec_out_of_range_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

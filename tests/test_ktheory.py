@@ -270,3 +270,12 @@ def test_product_with_torus_needs_unit():
 def test_kpair_serialization():
     pair = k_groups(CircleBundleSpec(1, 0, 3))
     assert KPair.from_json(pair.to_json()) == pair
+
+
+def test_a_negative_genus_or_twist_is_refused():
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        CircleBundleSpec(-1)
+    with pytest.raises(ValueError, match="twist level must be nonnegative"):
+        CircleBundleSpec(1, 2, -3)
+    with pytest.raises(ValueError, match="genus must be nonnegative"):
+        surface_k_groups(-1)

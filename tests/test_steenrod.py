@@ -19,6 +19,7 @@ from modtopo.steenrod import (
     ModPRingPresentation,
     axiom_report,
     bockstein,
+    parse_op_label,
     sq,
     st,
     verify_axioms,
@@ -730,3 +731,42 @@ def test_parse_op_label():
     for label in ("Xq1", "Sq", "Beta", 5, None):
         with pytest.raises(ValueError):
             parse_op_label(label)
+
+
+# -- input checks -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        (("Pq", 1, "x"), "unknown operation kind 'pq'"),
+        (("Sq", 0, "x"), "operation index must be >= 1 in the table"),
+        (("Sq", 1, "y"), "unknown generator 'y'"),
+    ],
+)
+def test_a_bad_table_key_is_refused(key, message):
+    with pytest.raises(ValueError, match=message):
+        ModPRingPresentation(2, [("x", 1)], operations={key: 0})
+
+
+def test_a_table_entry_for_a_generator_that_is_not_a_name_is_refused():
+    doc = {"p": 2, "generators": [{"name": "x", "degree": 1}], "ops": [{"op": "Sq1", "gen": 1, "value": []}]}
+    with pytest.raises(ValueError, match="unknown generator 1"):
+        ModPRingPresentation.from_json(doc)
+
+
+@pytest.mark.parametrize("label", ["Sq02", "Sq1_0", "St+1", "sq 1", "Sq\u0661"])
+def test_an_operation_index_is_read_only_in_its_canonical_spelling(label):
+    with pytest.raises(ValueError, match="canonical"):
+        parse_op_label(label)
+
+
+def test_element_operations_refuse_mixed_input():
+    pres = poly_ring_p2(("x", 1))
+    x = pres.gen("x")
+    with pytest.raises(Inhomogeneous, match="mixed degrees"):
+        (x + x * x).degree
+    with pytest.raises(ValueError, match="elements from different presentations"):
+        x + poly_ring_p2(("x", 1)).gen("x")
+    with pytest.raises(ValueError, match="operation index must be nonnegative"):
+        sq(-1, x)
