@@ -84,6 +84,26 @@ def json_shape(value, kind: type, what: str):
     raise InvalidInput(f"{what} must be a JSON {shape}, not {type(value).__name__}")
 
 
+def json_list(read, what: str):
+    """The reader of a JSON array (InvalidInput on any other value), each item read by ``read``."""
+    return lambda items: tuple(map(read, json_shape(items, list, what)))
+
+
+def json_record(doc, what: str, /, **readers) -> list:
+    """The values of a JSON object's keys in the order of ``readers``, each
+    read by its reader (None keeps the value as given), or by ``(reader,
+    default)`` for a key it may leave out.  InvalidInput unless ``doc`` is an
+    object; ValueError, naming the key and the keys taken, on a key the
+    record does not take or a key it needs and lacks."""
+    takes = ", ".join(readers)
+    if extra := [k for k in json_shape(doc, dict, what) if k not in readers]:
+        raise ValueError(f"{what} has no key {extra[0]!r}; it takes {takes}")
+    if missing := [k for k, r in readers.items() if k not in doc and type(r) is not tuple]:
+        raise ValueError(f"{what} needs the key {missing[0]!r}; it takes {takes}")
+    readers = {k: r if type(r) is tuple else (r, None) for k, r in readers.items()}
+    return [default if k not in doc else read(doc[k]) if read else doc[k] for k, (read, default) in readers.items()]
+
+
 def require_ints(what: str, *values) -> None:
     """Raise TypeError unless every value is an int (bool and float are not)."""
     if not {*map(type, values)} <= {int}:
@@ -257,12 +277,11 @@ class IntMatrix(FrozenValue):
 
     @classmethod
     def from_json(cls, doc: dict) -> "IntMatrix":
-        json_shape(doc, dict, "a matrix")
-        entries = json_shape(doc["entries"], list, "matrix entries")
-        rows, cols = as_int(doc["rows"]), as_int(doc["cols"])
+        ints = json_list(as_int, "matrix entries")
+        rows, cols, entries = json_record(doc, "a matrix", rows=as_int, cols=as_int, entries=ints)
         if max(rows, cols) > MAX_MATRIX_SIDE:
             raise InvalidInput(f"a matrix side is at most {MAX_MATRIX_SIDE}; got {rows} x {cols}")
-        return cls(rows, cols, tuple(map(as_int, entries)))
+        return cls(rows, cols, entries)
 
     def __str__(self) -> str:
         if self.rows == 0 or self.cols == 0:
@@ -528,7 +547,8 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     # left is U^-1 with column i negated where row i of left_inv is: it starts
     # with M V e_j / |p| over the pivots (i, j, p), since U M V e_j = p e_i,
     # then U^-1 e_f for the other rows f, the inverse row operations last first
-    rest = _replay([(k, i, -q) for k, i, q in reversed(rops)], _units(m.rows, rperm[len(pivots) :]))
+    free = rperm[len(pivots) :]
+    rest = _replay([(k, i, -q) for k, i, q in reversed(rops)] if free else (), _units(m.rows, free))
     scale = [abs(p) for _, _, p in pivots]
     left = [[*map(floordiv, mv, scale), *f] for mv, f in zip(_times(m, ri, len(pivots)), rest)]
     return SnfResult(
@@ -784,9 +804,7 @@ class FgAbGroup(FrozenValue):
 
     @classmethod
     def from_json(cls, doc: dict) -> "FgAbGroup":
-        json_shape(doc, dict, "a group")
-        torsion = json_shape(doc.get("torsion", ()), list, "group torsion")
-        return cls(as_int(doc["rank"]), tuple(map(as_int, torsion)))
+        return cls(*json_record(doc, "a group", rank=as_int, torsion=(json_list(as_int, "group torsion"), ())))
 
     def __str__(self) -> str:
         parts: list[str] = []

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .abgroup import FgAbGroup, FrozenValue, IntMatrix, as_int, json_shape
+from .abgroup import FgAbGroup, FrozenValue, IntMatrix, as_int, json_list, json_record, json_shape
 from .errors import AmbientMismatch, InvalidInput, LengthMismatch, ShapeMismatch
 
 
@@ -100,10 +100,8 @@ class CohomologyElement(FrozenValue):
 
     @classmethod
     def from_json(cls, ambient: FgAbGroup, doc: dict) -> "CohomologyElement":
-        json_shape(doc, dict, "a cohomology element")
-        free = json_shape(doc.get("free", ()), list, "free coordinates")
-        torsion = json_shape(doc.get("torsion", ()), list, "torsion coordinates")
-        return cls(ambient, tuple(map(as_int, free)), tuple(map(as_int, torsion)))
+        coords = (json_list(as_int, "element coordinates"), ())
+        return cls(ambient, *json_record(doc, "a cohomology element", free=coords, torsion=coords))
 
 
 class FreedWittenVerdict(FrozenValue):

@@ -23,6 +23,8 @@ from .abgroup import (
     as_int,
     homology_of_complex,
     json_int,
+    json_list,
+    json_record,
     json_shape,
     smith_normal_form,
 )
@@ -80,39 +82,46 @@ def _load_doc(args) -> dict:
     return json_shape(doc, dict, "the document")
 
 
+def _tagged(doc: dict, tag: str, what: str, kinds: dict) -> list:
+    """The kind that a document's ``tag`` key names, then the values of the
+    other keys that kind takes, read by its readers (see json_record)."""
+    kind = doc.get(tag)
+    if type(kind) is not str or kind not in kinds:
+        raise _Usage(f"unknown {what} {kind!r}; the key {tag!r} takes {', '.join(kinds)}")
+    return json_record(doc, f"a {kind} document", **{tag: None}, **kinds[kind])
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
 def _cmd_group(args) -> dict:
-    doc = _load_doc(args)
-    op = doc.get("op")
+    pair = {"a": FgAbGroup.from_json, "b": FgAbGroup.from_json}
+    ops = {
+        "smith": {"matrix": IntMatrix.from_json},
+        "homology": {"boundaries": json_list(IntMatrix.from_json, "boundaries")},
+        **dict.fromkeys(("direct_sum", "tensor", "tor", "hom", "ext", "is_isomorphic"), pair),
+    }
+    op, *values = _tagged(_load_doc(args), "op", "group operation", ops)
     if op == "smith":
-        s = smith_normal_form(IntMatrix.from_json(doc["matrix"]))
+        s = smith_normal_form(*values)
         return {
             "diagonal": s.diagonal,
             "left": s.left.to_json(),
             "right": s.right.to_json(),
         }
     if op == "homology":
-        boundaries = json_shape(doc["boundaries"], list, "boundaries")
-        groups = homology_of_complex([IntMatrix.from_json(b) for b in boundaries])
-        return {"groups": [g.to_json() for g in groups]}
-    if op in ("direct_sum", "tensor", "tor", "hom", "ext", "is_isomorphic"):
-        a = FgAbGroup.from_json(doc["a"])
-        b = FgAbGroup.from_json(doc["b"])
-        if op == "is_isomorphic":
-            return {"result": a.is_isomorphic(b)}
-        return {"result": getattr(a, op)(b).to_json()}
-    raise _Usage(f"unknown group operation {op!r}")
+        return {"groups": [g.to_json() for g in homology_of_complex(*values)]}
+    a, b = values
+    if op == "is_isomorphic":
+        return {"result": a.is_isomorphic(b)}
+    return {"result": getattr(a, op)(b).to_json()}
 
 
 def _cmd_kunneth(args) -> dict:
     from .graded import GradedCohomology, betti, euler_characteristic, kunneth_product
 
-    doc = _load_doc(args)
-    x = GradedCohomology.from_json(doc["x"])
-    y = GradedCohomology.from_json(doc["y"])
-    prod = kunneth_product(x, y)
+    read = GradedCohomology.from_json
+    prod = kunneth_product(*json_record(_load_doc(args), "a kunneth document", x=read, y=read))
     return {
         "product": prod.to_json(),
         "betti": betti(prod).to_json(),
@@ -176,37 +185,28 @@ def _cmd_anomaly(args) -> dict:
         mms_instability_check,
     )
 
-    doc = _load_doc(args)
-    check = doc.get("check")
-    if check == "freed_witten":
-        ambient = FgAbGroup.from_json(doc["ambient"])
-        w3 = CohomologyElement.from_json(ambient, doc["w3"])
-        h = CohomologyElement.from_json(ambient, doc["h"])
-        return freed_witten_check(w3, h).to_json()
-    if check == "mms":
-        ambient = FgAbGroup.from_json(doc["ambient"])
-        pd = CohomologyElement.from_json(ambient, doc["pd"])
-        w3 = CohomologyElement.from_json(ambient, doc["w3"])
-        h = CohomologyElement.from_json(ambient, doc["h"])
-        return mms_instability_check(pd, w3, h).to_json()
+    group, matrix = FgAbGroup.from_json, (IntMatrix.from_json, None)
+    checks = {  # an element (None: as given) is read against its group below
+        "freed_witten": {"ambient": group, "w3": None, "h": None},
+        "mms": {"ambient": group, "pd": None, "w3": None, "h": None},
+        "flux": {"g4": RationalClass.from_strings, "p1": json_list(as_int, "p1")},
+        "d3": {"source": group, "target": group, "x": None, "degree": as_int, "cup_by_h": matrix, "sq3": matrix},
+        "hilbert": {"spec": None},  # read by spec_from_json, whose module only this check imports
+    }
+    check, *values = _tagged(_load_doc(args), "check", "anomaly check", checks)
+    if check in ("freed_witten", "mms"):
+        ambient, *elements = values
+        elements = [CohomologyElement.from_json(ambient, e) for e in elements]
+        return (freed_witten_check if check == "freed_witten" else mms_instability_check)(*elements).to_json()
     if check == "flux":
-        g4 = RationalClass.from_strings(doc["g4"])
-        p1 = json_shape(doc["p1"], list, "p1")
-        verdict = flux_quantization_check(g4, [as_int(v) for v in p1])
-        return verdict.to_json()
+        return flux_quantization_check(*values).to_json()
     if check == "d3":
-        source = FgAbGroup.from_json(doc["source"])
-        target = FgAbGroup.from_json(doc["target"])
-        x = CohomologyElement.from_json(source, doc["x"])
-        cup = IntMatrix.from_json(doc["cup_by_h"]) if "cup_by_h" in doc else None
-        sq3 = IntMatrix.from_json(doc["sq3"]) if "sq3" in doc else None
-        out = d3_action(x, as_int(doc["degree"]), cup_by_h=cup, sq3=sq3, target=target)
+        source, target, x, degree, cup, sq3 = values
+        out = d3_action(CohomologyElement.from_json(source, x), degree, cup_by_h=cup, sq3=sq3, target=target)
         return {"result": out.to_json()}
-    if check == "hilbert":
-        from .hilbert import spec_from_json
+    from .hilbert import spec_from_json
 
-        return hilbert_anomaly_report(spec_from_json(doc["spec"])).to_json()
-    raise _Usage(f"unknown anomaly check {check!r}")
+    return hilbert_anomaly_report(spec_from_json(*values)).to_json()
 
 
 def _cmd_steenrod(args) -> dict:
@@ -214,20 +214,26 @@ def _cmd_steenrod(args) -> dict:
     from .steenrod import sq, st, w3_from_w2
 
     doc = _load_doc(args)
-    pres = ModPRingPresentation.from_json(doc["presentation"])
-    if "verify_to_degree" in doc:
-        report = axiom_report(pres, as_int(doc["verify_to_degree"]))
+    poly = ModPRingPresentation.poly_from_json
+    if verify := "verify_to_degree" in doc:
+        task = {"verify_to_degree": as_int}
+    else:
+        task = {"evaluate": lambda ev: json_record(ev, "the evaluation", op=None, element=poly)}
+    what = f"a steenrod document {'with' if verify else 'without'} 'verify_to_degree'"
+    pres, task = json_record(doc, what, presentation=ModPRingPresentation.from_json, **task)
+    if verify:
+        report = axiom_report(pres, task)
         return {
             "checked": {kind.lower(): n for kind, n in report.checked.items()},
             "skipped": {kind.lower(): n for kind, n in report.skipped.items()},
             "violations": [str(v) for v in report.violations],
         }
-    ev = json_shape(doc["evaluate"], dict, "the evaluation")
-    x = pres.element(ModPRingPresentation.poly_from_json(ev["element"]))
-    if ev["op"] == "w3_from_w2":
+    op, element = task
+    x = pres.element(element)
+    if op == "w3_from_w2":
         out = w3_from_w2(x)
     else:
-        kind, k = parse_op_label(ev["op"])
+        kind, k = parse_op_label(op)
         out = bockstein(x) if kind == "beta" else (sq if kind == "sq" else st)(k, x)
     return {
         "value": pres.poly_to_json(out.poly),

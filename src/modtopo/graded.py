@@ -13,7 +13,7 @@ torsion is annihilated); field coefficients Z/p are the torsion groups
 
 from __future__ import annotations
 
-from .abgroup import FgAbGroup, FrozenValue, IntMatrix, as_int, check_listed, is_prime, json_shape
+from .abgroup import FgAbGroup, FrozenValue, IntMatrix, as_int, check_listed, is_prime, json_list, json_record
 
 
 class GradedCohomology(FrozenValue):
@@ -47,11 +47,11 @@ class GradedCohomology(FrozenValue):
 
     @classmethod
     def from_json(cls, doc: dict) -> "GradedCohomology":
-        json_shape(doc, dict, "a graded value")
-        groups = tuple(map(FgAbGroup.from_json, json_shape(doc["groups"], list, "graded groups")))
-        if as_int(doc["top_degree"]) != len(groups) - 1:
+        groups = json_list(FgAbGroup.from_json, "graded groups")
+        top, groups, label = json_record(doc, "a graded value", top_degree=as_int, groups=groups, label=(None, ""))
+        if top != len(groups) - 1:
             raise ValueError("top_degree does not match the group list")
-        if type(label := doc.get("label", "")) is not str:
+        if type(label) is not str:
             raise ValueError(f"a graded value's label must be a string, not {label!r}")
         return cls(groups, label)
 
@@ -128,13 +128,13 @@ def kunneth_product(x: GradedCohomology, y: GradedCohomology) -> GradedCohomolog
     rx, ry = (sum(g.rank for g in h.groups) for h in (x, y))
     tx, ty = (sum(len(g.invariant_factors) for g in h.groups) for h in (x, y))
     check_listed("the Kunneth product", ("tensor", "tor"), rx, tx, ry, ty)
-    top = x.top_degree + y.top_degree
-    out: list[FgAbGroup] = []
-    for k in range(top + 2):
-        parts = [x.group_at(p).tensor(y.group_at(k - p)) for p in range(k + 1)]
-        parts += [x.group_at(p).tor(y.group_at(k - 1 - p)) for p in range(k)]
-        tors = [d for g in parts for d in g.invariant_factors]
-        out.append(FgAbGroup._canonical(sum(g.rank for g in parts), tors))
+    parts: list[list[FgAbGroup]] = [[] for _ in range(x.top_degree + y.top_degree + 2)]
+    for p, a in enumerate(x.groups):
+        for q, b in enumerate(y.groups):
+            parts[p + q].append(a.tensor(b))
+            parts[p + q + 1].append(a.tor(b))
+    tors = ([d for g in gs for d in g.invariant_factors] for gs in parts)
+    out = [FgAbGroup._canonical(sum(g.rank for g in gs), t) for gs, t in zip(parts, tors)]
     if out[-1].is_trivial:
         out.pop()
     label = ""

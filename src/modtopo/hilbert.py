@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .abgroup import FgAbGroup, FrozenValue, as_int, json_shape, require_ints
+from .abgroup import FgAbGroup, FrozenValue, as_int, json_record, json_shape, require_ints
 from .errors import DegreeOutOfRange, InvalidInput
 
 BOUNDARY_DEGREE_ZEROED = "BOUNDARY_DEGREE_ZEROED"
@@ -63,10 +63,6 @@ class CompactHilbertSpec(FrozenValue):
 
     def to_json(self) -> dict:
         return {"n": self.n, "compact": True, "dim_weight2": self.dim_weight2}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "CompactHilbertSpec":
-        return cls(as_int(doc["n"]), as_int(doc.get("dim_weight2", 0)))
 
 
 MAX_CUSP_TABLE_N = 20
@@ -133,10 +129,6 @@ class CuspidalHilbertSpec(FrozenValue):
             "cusp_dims": {str(b): d if type(d := self.cusp_dims) is int else d[b] for b in _subsets(self.n)},
         }
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "CuspidalHilbertSpec":
-        return cls(as_int(doc["n"]), as_int(doc["h"]), cusp_dims_from_json(doc["cusp_dims"]))
-
 
 HilbertSpec = CompactHilbertSpec | CuspidalHilbertSpec
 
@@ -147,10 +139,18 @@ def cusp_dims_from_json(doc: dict) -> dict[int, int]:
 
 
 def spec_from_json(doc: dict) -> HilbertSpec:
-    json_shape(doc, dict, "a Hilbert spec")
-    if json_shape(doc.get("compact", "h" not in doc), bool, "compact"):
-        return CompactHilbertSpec.from_json(doc)
-    return CuspidalHilbertSpec.from_json(doc)
+    """A congruence spec if the document gives the cusp count "h", else a
+    co-compact one, each read with its own keys; "compact" must agree."""
+    cusped = "h" in json_shape(doc, dict, "a Hilbert spec")
+    what = f"a Hilbert spec with{'' if cusped else ' no'} 'h'"
+
+    def compact(v):
+        if json_shape(v, bool, "compact") is cusped:
+            raise ValueError(f"{what} is {'not ' if cusped else ''}compact")
+
+    kind = {"h": as_int, "cusp_dims": cusp_dims_from_json} if cusped else {"dim_weight2": (as_int, 0)}
+    n, _, *rest = json_record(doc, what, n=as_int, compact=(compact, None), **kind)
+    return CuspidalHilbertSpec(n, *rest) if cusped else CompactHilbertSpec(n, *rest)
 
 
 def _check_degree(spec: HilbertSpec, m: int) -> None:

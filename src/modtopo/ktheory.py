@@ -32,6 +32,7 @@ from .abgroup import (
     IntMatrix,
     cohomology_of_cochain_complex,
     homology_of_complex,
+    json_record,
 )
 from .errors import InvalidDimension, InvalidInput, NoUnitSummand
 from .graded import GradedCohomology
@@ -66,7 +67,7 @@ class KPair(FrozenValue):
 
     @classmethod
     def from_json(cls, doc: dict) -> "KPair":
-        return cls(FgAbGroup.from_json(doc["K0"]), FgAbGroup.from_json(doc["K1"]))
+        return cls(*json_record(doc, "a K-theory pair", K0=FgAbGroup.from_json, K1=FgAbGroup.from_json))
 
     def __str__(self) -> str:
         return f"K^0 = {self.k0},  K^1 = {self.k1}"

@@ -45,7 +45,7 @@ import heapq
 import itertools
 from operator import add, le, mul, sub
 
-from .abgroup import FrozenValue, as_int, is_prime, json_shape, require_ints
+from .abgroup import FrozenValue, as_int, is_prime, json_list, json_record, json_shape, require_ints
 from .errors import (
     Inhomogeneous,
     InvalidInput,
@@ -167,6 +167,8 @@ class ModPRingPresentation:
             if any(e < 0 for e in powers.values()):
                 raise ValueError(f"the monomial {powers} has a negative exponent")
             exps = [0] * len(self.names)
+            if unknown := [name for name in powers if name not in self._index]:
+                raise ValueError(f"unknown generator {unknown[0]!r}")
             for name, e in powers.items():
                 exps[self._index[name]] += e
             if any(exps[i] >= 2 for i in self._odd):
@@ -481,13 +483,12 @@ class ModPRingPresentation:
         ]
 
     @staticmethod
-    def poly_from_json(items) -> list:
-        out = []
-        for term in json_shape(items, list, "a polynomial"):
-            json_shape(term, dict, "a term")
-            mono = json_shape(term.get("monomial", {}), dict, "a monomial")
-            out.append((as_int(term["coeff"]), {name: as_int(e) for name, e in mono.items()}))
-        return out
+    def poly_from_json(items) -> tuple:
+        def term(doc):
+            coeff, mono = json_record(doc, "a term", coeff=as_int, monomial=(None, {}))
+            return coeff, {name: as_int(e) for name, e in json_shape(mono, dict, "a monomial").items()}
+
+        return json_list(term, "a polynomial")(items)
 
     def to_json(self) -> dict:
         ops = []
@@ -511,20 +512,18 @@ class ModPRingPresentation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ModPRingPresentation":
-        json_shape(doc, dict, "a presentation")
-        gens = []
-        for g in json_shape(doc["generators"], list, "generators"):
-            json_shape(g, dict, "a generator")
-            gens.append((g["name"], as_int(g["degree"])))
-        rels = [cls.poly_from_json(r) for r in json_shape(doc.get("relations", ()), list, "relations")]
-        ops = {}
-        for entry in json_shape(doc.get("ops", ()), list, "operation values"):
-            json_shape(entry, dict, "an operation value")
-            gen = entry["gen"]
+        poly = cls.poly_from_json
+
+        def entry(doc):
+            op, gen, value = json_record(doc, "an operation value", op=parse_op_label, gen=None, value=poly)
             if not isinstance(gen, str):
                 raise ValueError(f"unknown generator {gen!r}")
-            ops[(*parse_op_label(entry["op"]), gen)] = cls.poly_from_json(entry["value"])
-        return cls(as_int(doc["p"]), gens, rels, ops)
+            return (*op, gen), value
+
+        gens = json_list(lambda g: json_record(g, "a generator", name=None, degree=as_int), "generators")
+        rels, ops = (json_list(poly, "relations"), ()), (json_list(entry, "operation values"), ())
+        p, gens, rels, ops = json_record(doc, "a presentation", p=as_int, generators=gens, relations=rels, ops=ops)
+        return cls(p, gens, rels, dict(ops))
 
 
 def parse_op_label(label) -> tuple[str, int]:

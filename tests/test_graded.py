@@ -188,6 +188,19 @@ def test_homology_free_mod_three():
     ]
 
 
+def test_kunneth_product_costs_the_pairs_of_degrees_that_hold_groups():
+    # 1,001 degrees against 2 make 2,002 tensor and Tor pairs; a loop over
+    # every p <= k in every degree k would make about a million
+    x = GradedCohomology((FgAbGroup(1, (2,)),) * 1001)
+    y = GradedCohomology((Z, FgAbGroup(1, (2,))))
+    with deadline(2, "a 1,000-degree Kunneth product"):
+        prod = kunneth_product(x, y)
+    # x^k (x) y^0 + x^(k-1) (x) y^1 + Tor(x^(k-2), y^1), each Z + Z/2 or Z + (Z/2)^3 or Z/2
+    middle = FgAbGroup(2, (2,) * 5)
+    want = [FgAbGroup(1, (2,)), FgAbGroup(2, (2,) * 4), *[middle] * 999, FgAbGroup(1, (2,) * 4), FgAbGroup.cyclic(2)]
+    assert prod.groups == tuple(want)
+
+
 def test_kunneth_product_refuses_a_torsion_list_past_the_cap_across_parts_and_degrees():
     # each tensor part lists 10^6 + 2 factors and each Tor part one, all under
     # the cap; the 441 tensor and 441 Tor parts over 42 degrees list 441,001,323
